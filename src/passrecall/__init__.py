@@ -4,121 +4,30 @@ The engine decodes its way to a passage: a title is generated under a
 prefix-tree constraint to pick documents, a short prefix is generated under
 an FM-index constraint to pin a position inside them, and the surrounding
 passage is cut straight from the full document text at that position.
+
+Everything else stays importable from its submodule.
 """
 
-from .corpus import (
-    Corpus,
-    Document,
-    IngestError,
-    PieceCodec,
-    WordCodec,
-    ingest_corpus,
-    load_corpus,
-    load_jsonl_corpus,
-    save_corpus,
-)
-from .decode import (
-    BeamConfig,
-    BeamResult,
-    SubstringConstraint,
-    TrieConstraint,
-    constrained_beam_search,
-)
-from .evaluation import (
-    EvalItem,
-    EvalReport,
-    aggregate,
-    answer_in_context,
-    evaluate_item,
-    r_precision,
-)
-from .fmindex import (
-    BWTIndex,
-    DocSetConstraint,
-    SearchRange,
-    build_suffix_array,
-    bwt_from_sa,
-    load_index,
-    save_index,
-)
+from .corpus import ingest_corpus
 from .pipeline import (
     DeadEndError,
     InternalInconsistencyError,
     RecallConfig,
     RecallEngine,
     Reference,
-    StageOneResult,
-    combine_scores,
-    extract_reference,
-    kmp_find_first,
-    localize,
-    recall,
-    recall_prefixes,
-    recall_titles,
-    select_documents,
 )
-from .scorer import (
-    NGramScorer,
-    PromptTemplate,
-    RemoteScorer,
-    corpus_scorer,
-    default_templates,
-    render_prompt,
-)
-from .trie import TitleTrie, build_trie, load_trie, save_trie
+from .scorer import corpus_scorer
+from .trie import build_trie
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BWTIndex",
-    "BeamConfig",
-    "BeamResult",
-    "Corpus",
     "DeadEndError",
-    "DocSetConstraint",
-    "Document",
-    "EvalItem",
-    "EvalReport",
-    "IngestError",
     "InternalInconsistencyError",
-    "NGramScorer",
-    "PieceCodec",
-    "PromptTemplate",
     "RecallConfig",
     "RecallEngine",
     "Reference",
-    "RemoteScorer",
-    "SearchRange",
-    "StageOneResult",
-    "SubstringConstraint",
-    "TitleTrie",
-    "TrieConstraint",
-    "WordCodec",
-    "aggregate",
-    "answer_in_context",
-    "build_suffix_array",
     "build_trie",
-    "bwt_from_sa",
-    "combine_scores",
-    "constrained_beam_search",
     "corpus_scorer",
-    "default_templates",
-    "evaluate_item",
-    "extract_reference",
     "ingest_corpus",
-    "kmp_find_first",
-    "load_corpus",
-    "load_index",
-    "load_jsonl_corpus",
-    "load_trie",
-    "localize",
-    "r_precision",
-    "recall",
-    "recall_prefixes",
-    "recall_titles",
-    "render_prompt",
-    "save_corpus",
-    "save_index",
-    "save_trie",
-    "select_documents",
 ]

@@ -16,9 +16,8 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import __version__
 from .corpus import Corpus, IngestError, load_corpus, load_jsonl_corpus, save_corpus
@@ -154,22 +153,39 @@ def load_artifacts(index_dir: str) -> Artifacts:
         raise DataError(f"no manifest at {manifest_path}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest unreadable: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError("manifest must hold a JSON object")
+    for key in ("corpus_file", "trie_file"):
+        if not isinstance(manifest.get(key), str):
+            raise DataError(f"manifest lacks a {key!r} path")
+    index_files = manifest.get("index_files", {})
+    if not isinstance(index_files, dict):
+        raise DataError("manifest 'index_files' must be a JSON object")
 
-    corpus = load_corpus(os.path.join(index_dir, manifest["corpus_file"]))
-    trie = load_trie(os.path.join(index_dir, manifest["trie_file"]))
-    index_files: Mapping[str, str] = manifest.get("index_files", {})
+    try:
+        corpus = load_corpus(os.path.join(index_dir, manifest["corpus_file"]))
+        trie = load_trie(os.path.join(index_dir, manifest["trie_file"]))
+    except FileNotFoundError as exc:
+        raise DataError(f"missing artifact file: {exc}") from exc
     indexes: dict[str, BWTIndex] = {}
     for doc in corpus.documents:
         rel = index_files.get(doc.doc_id)
-        if rel is None:
+        if not isinstance(rel, str):
             raise DataError(f"manifest lists no index for document {doc.doc_id!r}")
         path = os.path.join(index_dir, rel)
         try:
-            indexes[doc.doc_id] = load_index(path)
+            index = load_index(path)
         except FileNotFoundError as exc:
             raise DataError(
                 f"missing index file for document {doc.doc_id!r}: {path}"
             ) from exc
+        if index.doc_id != doc.doc_id or index.text_len != len(doc.body_tokens):
+            raise DataError(
+                f"index file {path} holds document {index.doc_id!r} of "
+                f"{index.text_len} tokens, not {doc.doc_id!r} of "
+                f"{len(doc.body_tokens)}"
+            )
+        indexes[doc.doc_id] = index
     return Artifacts(corpus=corpus, trie=trie, indexes=indexes, manifest=manifest)
 
 
@@ -267,28 +283,22 @@ def _reference_record(ref: Reference) -> dict:
     }
 
 
-def run_recall_batch(
-    engine: RecallEngine,
-    queries: Sequence[str],
-    parallelism: int = 1,
-) -> list[dict]:
+def run_recall_batch(engine: RecallEngine, queries: Sequence[str]) -> list[dict]:
     """One record per query, input order preserved."""
-
-    def one(query: str) -> dict:
+    records = []
+    for query in queries:
         try:
             references = engine.recall(query)
         except DeadEndError as exc:
             logger.warning("query %r: %s", query, exc)
-            return {"query": query, "references": []}
-        return {
-            "query": query,
-            "references": [_reference_record(r) for r in references],
-        }
-
-    if parallelism <= 1:
-        return [one(q) for q in queries]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(one, queries))
+            references = []
+        records.append(
+            {
+                "query": query,
+                "references": [_reference_record(r) for r in references],
+            }
+        )
+    return records
 
 
 def _metadata_line(args, artifacts: Artifacts, config: RecallConfig, scorer_info) -> str:
@@ -313,7 +323,7 @@ def cmd_recall(args: argparse.Namespace) -> int:
     queries = _read_queries(args.queries)
 
     started = time.monotonic()
-    records = run_recall_batch(engine, queries, parallelism=args.parallelism)
+    records = run_recall_batch(engine, queries)
     elapsed = time.monotonic() - started
     logger.info("recalled %d queries in %.2fs", len(queries), elapsed)
 
@@ -413,7 +423,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         engine = RecallEngine(
             artifacts.corpus, artifacts.trie, artifacts.indexes, scorer, config
         )
-        records = run_recall_batch(engine, queries, parallelism=args.parallelism)
+        records = run_recall_batch(engine, queries)
         report = _evaluate_records(items, records)
         writer.writerow(
             [
@@ -473,7 +483,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     scorer.add_argument("--retries", type=int, default=2)
 
     run = parser.add_argument_group("execution")
-    run.add_argument("--parallelism", type=int, default=1)
     run.add_argument(
         "--strict-determinism",
         dest="strict_determinism",

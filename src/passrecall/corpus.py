@@ -17,7 +17,7 @@ import json
 import logging
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .storage import KIND_CORPUS, Reader, Writer
@@ -242,11 +242,10 @@ class Document:
 
 @dataclass
 class Corpus:
-    """Immutable recall substrate: documents, title lookup, shared codec."""
+    """Immutable recall substrate: documents and their shared codec."""
 
     documents: list[Document]
     codec: TokenCodec
-    title_index: dict[str, str] = field(default_factory=dict)
     skipped_empty: int = 0
 
     def __post_init__(self) -> None:
@@ -315,7 +314,6 @@ def ingest_corpus(
         codec.freeze()
 
     documents = []
-    title_index = {}
     for doc_id, title, body_text in staged:
         title_tokens = tuple(codec.encode(title))
         body_tokens = tuple(codec.encode(body_text))
@@ -334,14 +332,8 @@ def ingest_corpus(
                 body_text=body_text,
             )
         )
-        title_index[title] = doc_id
 
-    return Corpus(
-        documents=documents,
-        codec=codec,
-        title_index=title_index,
-        skipped_empty=skipped,
-    )
+    return Corpus(documents=documents, codec=codec, skipped_empty=skipped)
 
 
 def _validate_record(position: int, record: Mapping) -> tuple[str, str, list[str]]:
@@ -417,7 +409,6 @@ def load_corpus(path: str) -> Corpus:
                 f"codec implements {codec.policy!r}"
             )
         documents = []
-        title_index = {}
         for _ in range(reader.u64()):
             doc_id = reader.text()
             title = reader.text()
@@ -427,5 +418,4 @@ def load_corpus(path: str) -> Corpus:
             documents.append(
                 Document(doc_id, title, title_tokens, body_tokens, body_text)
             )
-            title_index[title] = doc_id
-    return Corpus(documents=documents, codec=codec, title_index=title_index)
+    return Corpus(documents=documents, codec=codec)

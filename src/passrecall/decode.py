@@ -98,12 +98,6 @@ class SubstringConstraint:
 class BeamConfig:
     beam_size: int
     max_len: int
-    # When set, beam pruning compares mean rather than summed log-probs.
-    # Final ranking is always length-normalized either way.  Because
-    # finished hypotheses leave the pool, live ones always share a length,
-    # making the two pruning orders coincide; the flag stays for parity
-    # with decoders that keep finished hypotheses in the beam.
-    prune_normalized: bool = False
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -117,7 +111,6 @@ class Hypothesis:
     constraint: Constraint
     tokens: tuple[int, ...] = ()
     cum_logprob: float = 0.0
-    finished: bool = False
 
     @property
     def normalized(self) -> float:
@@ -156,7 +149,8 @@ def constrained_beam_search(
     for _ in range(config.max_len):
         if not live:
             break
-        expansions: list[Hypothesis] = []
+        # (cum_logprob, tokens, parent): only the kept ones get stepped.
+        candidates: list[tuple[float, tuple[int, ...], Hypothesis]] = []
         for hyp in live:
             allowed = hyp.constraint.allowed()
             if not allowed:
@@ -165,38 +159,24 @@ def constrained_beam_search(
             for token in sorted(allowed):
                 if token == END_ID:
                     if hyp.tokens:
-                        finished.append(
-                            Hypothesis(
-                                constraint=hyp.constraint,
-                                tokens=hyp.tokens,
-                                cum_logprob=hyp.cum_logprob,
-                                finished=True,
-                            )
-                        )
+                        finished.append(hyp)
                     continue
-                expansions.append(
-                    Hypothesis(
-                        constraint=hyp.constraint.step(token),
-                        tokens=hyp.tokens + (token,),
-                        cum_logprob=hyp.cum_logprob + log_probs[token],
-                    )
+                candidates.append(
+                    (hyp.cum_logprob + log_probs[token], hyp.tokens + (token,), hyp)
                 )
-        if config.prune_normalized:
-            expansions.sort(key=lambda h: (-h.normalized, h.tokens))
-        else:
-            expansions.sort(key=lambda h: (-h.cum_logprob, h.tokens))
-        live = expansions[: config.beam_size]
-
-    for hyp in live:
-        if hyp.tokens and hyp.constraint.is_terminal():
-            finished.append(
-                Hypothesis(
-                    constraint=hyp.constraint,
-                    tokens=hyp.tokens,
-                    cum_logprob=hyp.cum_logprob,
-                    finished=True,
-                )
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        live = [
+            Hypothesis(
+                constraint=parent.constraint.step(tokens[-1]),
+                tokens=tokens,
+                cum_logprob=cum_logprob,
             )
+            for cum_logprob, tokens, parent in candidates[: config.beam_size]
+        ]
+
+    finished.extend(
+        hyp for hyp in live if hyp.tokens and hyp.constraint.is_terminal()
+    )
 
     if not finished:
         logger.warning(

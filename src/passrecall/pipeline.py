@@ -2,11 +2,11 @@
 
 Stage 1 decodes a document title under the trie constraint and keeps the
 top k distinct documents.  Stage 2 decodes a short prefix (prefix_len
-tokens) constrained to be a verbatim substring of those documents, finds
-the prefix's first occurrence with KMP, and extracts the surrounding
-passage_len tokens.  The two stage scores are combined as
-alpha * score1 + (1 - alpha) * score2 and references are ranked by the
-combined value.
+tokens) constrained to be a verbatim substring of those documents, takes
+the prefix's first occurrence from the FM-index of the first document it
+is still live in, and extracts the surrounding passage_len tokens.  The
+two stage scores are combined as alpha * score1 + (1 - alpha) * score2
+and references are ranked by the combined value.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 from .corpus import Corpus, Document
 from .decode import (
     BeamConfig,
-    BeamResult,
     SubstringConstraint,
     TrieConstraint,
     constrained_beam_search,
@@ -121,29 +120,6 @@ class Reference:
     combined: float
 
 
-def kmp_find_first(haystack: Sequence[int], needle: Sequence[int]) -> int | None:
-    """Smallest offset of ``needle`` in ``haystack``, or None."""
-    if not needle:
-        raise ValueError("needle must be nonempty")
-    fail = [0] * len(needle)
-    length = 0
-    for i in range(1, len(needle)):
-        while length and needle[i] != needle[length]:
-            length = fail[length - 1]
-        if needle[i] == needle[length]:
-            length += 1
-        fail[i] = length
-    matched = 0
-    for pos, symbol in enumerate(haystack):
-        while matched and symbol != needle[matched]:
-            matched = fail[matched - 1]
-        if symbol == needle[matched]:
-            matched += 1
-            if matched == len(needle):
-                return pos - len(needle) + 1
-    return None
-
-
 def recall_titles(
     query: str,
     corpus: Corpus,
@@ -234,16 +210,17 @@ def recall_prefixes(
 
 
 def localize(
-    prefix: Sequence[int],
-    selected: Sequence[StageOneResult],
-    corpus: Corpus,
+    prefix: PrefixResult, indexes: Mapping[str, BWTIndex]
 ) -> tuple[str, int]:
-    """First occurrence of ``prefix``, scanning documents in score order."""
-    for result in selected:
-        body = corpus.document(result.doc_id).body_tokens
-        start = kmp_find_first(body, prefix)
-        if start is not None:
-            return result.doc_id, start
+    """First occurrence of the prefix, in the first live document that has one.
+
+    ``live_doc_ids`` keep the stage-1 order, so this is the first match a
+    scan of the selected documents in score order would find.
+    """
+    for doc_id in prefix.live_doc_ids:
+        starts = indexes[doc_id].locate_all(prefix.tokens)
+        if starts:
+            return doc_id, starts[0]
     raise InternalInconsistencyError(
         "generated prefix not found in any selected document"
     )
@@ -281,59 +258,6 @@ def _rescore_passage(
     return total / len(passage)
 
 
-def recall(
-    query: str,
-    corpus: Corpus,
-    trie: TitleTrie,
-    indexes: Mapping[str, BWTIndex],
-    scorer: TokenScorer,
-    config: RecallConfig,
-) -> list[Reference]:
-    """End-to-end recall for one query, ranked by combined score."""
-    stage1 = recall_titles(query, corpus, trie, scorer, config)
-    selected = select_documents(stage1, config.k)
-    prefixes = recall_prefixes(query, selected, indexes, corpus, scorer, config)
-    if not prefixes:
-        raise DeadEndError("no prefix could be generated for this query")
-    score1_by_doc = {r.doc_id: r.score1 for r in selected}
-    stage2_prompt = render_prompt(config.stage2_template, query, corpus.codec)
-
-    references = []
-    seen: set[tuple[str, int]] = set()
-    for prefix in prefixes:
-        doc_id, start = localize(prefix.tokens, selected, corpus)
-        if (doc_id, start) in seen:
-            continue
-        seen.add((doc_id, start))
-        doc = corpus.document(doc_id)
-        passage = extract_reference(doc, start, config.passage_len)
-        if tuple(passage[: len(prefix.tokens)]) != tuple(prefix.tokens):
-            raise InternalInconsistencyError(
-                "extracted passage does not begin with its prefix"
-            )
-        score2 = prefix.score2
-        if config.rescore_full_passage:
-            score2 = _rescore_passage(
-                passage, doc_id, indexes, stage2_prompt, scorer
-            )
-        score1 = score1_by_doc[doc_id]
-        references.append(
-            Reference(
-                doc_id=doc_id,
-                title=doc.title,
-                start=start,
-                prefix=prefix.tokens,
-                passage=passage,
-                passage_text=corpus.codec.decode(passage),
-                score1=score1,
-                score2=score2,
-                combined=combine_scores(score1, score2, config.alpha),
-            )
-        )
-    references.sort(key=lambda r: (-r.combined, r.doc_id, r.start))
-    return references
-
-
 class RecallEngine:
     """Bundles the immutable artifacts one recall run needs."""
 
@@ -352,6 +276,49 @@ class RecallEngine:
         self.config = config or RecallConfig()
 
     def recall(self, query: str) -> list[Reference]:
-        return recall(
-            query, self.corpus, self.trie, self.indexes, self.scorer, self.config
+        """End-to-end recall for one query, ranked by combined score."""
+        corpus, config = self.corpus, self.config
+        stage1 = recall_titles(query, corpus, self.trie, self.scorer, config)
+        selected = select_documents(stage1, config.k)
+        prefixes = recall_prefixes(
+            query, selected, self.indexes, corpus, self.scorer, config
         )
+        if not prefixes:
+            raise DeadEndError("no prefix could be generated for this query")
+        score1_by_doc = {r.doc_id: r.score1 for r in selected}
+        stage2_prompt = render_prompt(config.stage2_template, query, corpus.codec)
+
+        references = []
+        seen: set[tuple[str, int]] = set()
+        for prefix in prefixes:
+            doc_id, start = localize(prefix, self.indexes)
+            if (doc_id, start) in seen:
+                continue
+            seen.add((doc_id, start))
+            doc = corpus.document(doc_id)
+            passage = extract_reference(doc, start, config.passage_len)
+            if tuple(passage[: len(prefix.tokens)]) != tuple(prefix.tokens):
+                raise InternalInconsistencyError(
+                    "extracted passage does not begin with its prefix"
+                )
+            score2 = prefix.score2
+            if config.rescore_full_passage:
+                score2 = _rescore_passage(
+                    passage, doc_id, self.indexes, stage2_prompt, self.scorer
+                )
+            score1 = score1_by_doc[doc_id]
+            references.append(
+                Reference(
+                    doc_id=doc_id,
+                    title=doc.title,
+                    start=start,
+                    prefix=prefix.tokens,
+                    passage=passage,
+                    passage_text=corpus.codec.decode(passage),
+                    score1=score1,
+                    score2=score2,
+                    combined=combine_scores(score1, score2, config.alpha),
+                )
+            )
+        references.sort(key=lambda r: (-r.combined, r.doc_id, r.start))
+        return references

@@ -215,6 +215,8 @@ class RemoteScorer:
             body = response.json()
         except ValueError as exc:
             raise ScorerProtocolError(f"non-JSON response: {exc}") from exc
+        if not isinstance(body, Mapping):
+            raise ScorerProtocolError("response is not a JSON object")
         logprobs = body.get("logprobs")
         if not isinstance(logprobs, Mapping):
             raise ScorerProtocolError("response missing 'logprobs' object")
@@ -223,7 +225,12 @@ class RemoteScorer:
             raw = logprobs.get(str(cand))
             if raw is None:
                 raise ScorerProtocolError(f"no log-prob for candidate {cand}")
-            value = float(raw)
+            try:
+                value = float(raw)
+            except (TypeError, ValueError) as exc:
+                raise ScorerProtocolError(
+                    f"log-prob for candidate {cand} is not a number: {raw!r}"
+                ) from exc
             if math.isnan(value) or value > 0.0:
                 raise ScorerProtocolError(
                     f"log-prob for candidate {cand} out of range: {value}"

@@ -94,43 +94,51 @@ def build_trie(corpus: Corpus) -> TitleTrie:
 
 
 def save_trie(trie: TitleTrie, path: str) -> None:
+    """Nodes in pre-order, children by ascending token, each child after its
+    token; an explicit stack keeps very long titles off the call stack."""
     with open(path, "wb") as handle:
         writer = Writer(handle)
         writer.header(KIND_TRIE)
-        _write_node(writer, trie.root)
+        stack: list[tuple[int | None, TrieNode]] = [(None, trie.root)]
+        while stack:
+            token, node = stack.pop()
+            if token is not None:
+                writer.u32(token)
+            writer.u8(1 if node.doc_id is not None else 0)
+            if node.doc_id is not None:
+                writer.text(node.doc_id)
+            writer.u64(len(node.children))
+            for child_token in sorted(node.children, reverse=True):
+                stack.append((child_token, node.children[child_token]))
 
 
 def load_trie(path: str) -> TitleTrie:
     trie = TitleTrie()
+    trie.node_count = 0
     with open(path, "rb") as handle:
         reader = Reader(handle)
         reader.header(KIND_TRIE)
-        stats = {"nodes": 0, "terminals": 0, "depth": 0}
-        trie.root = _read_node(reader, 0, stats)
-    trie.node_count = stats["nodes"]
-    trie.terminal_count = stats["terminals"]
-    trie.max_depth = stats["depth"]
+        trie.root, child_count = _read_node(reader, trie, 0)
+        # (node, children still to read, depth)
+        stack = [(trie.root, child_count, 0)]
+        while stack:
+            node, remaining, depth = stack.pop()
+            if not remaining:
+                continue
+            stack.append((node, remaining - 1, depth))
+            token = reader.u32()
+            child, child_count = _read_node(reader, trie, depth + 1)
+            node.children[token] = child
+            stack.append((child, child_count, depth + 1))
     return trie
 
 
-def _write_node(writer: Writer, node: TrieNode) -> None:
-    writer.u8(1 if node.doc_id is not None else 0)
-    if node.doc_id is not None:
-        writer.text(node.doc_id)
-    writer.u64(len(node.children))
-    for token in sorted(node.children):
-        writer.u32(token)
-        _write_node(writer, node.children[token])
-
-
-def _read_node(reader: Reader, depth: int, stats: dict) -> TrieNode:
+def _read_node(reader: Reader, trie: TitleTrie, depth: int) -> tuple[TrieNode, int]:
+    """One node's own fields, counted into ``trie``; returns its child count."""
     node = TrieNode()
-    stats["nodes"] += 1
+    trie.node_count += 1
     if reader.u8():
         node.doc_id = reader.text()
-        stats["terminals"] += 1
-        stats["depth"] = max(stats["depth"], depth)
-    for _ in range(reader.u64()):
-        token = reader.u32()
-        node.children[token] = _read_node(reader, depth + 1, stats)
-    return node
+        trie.terminal_count += 1
+        trie.max_depth = max(trie.max_depth, depth)
+    return node, reader.u64()

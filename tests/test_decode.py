@@ -305,31 +305,6 @@ class TestSubstringSearch:
             assert [r.tokens for r in results] == [seq for _, seq in expected]
 
 
-class TestPruningFlag:
-    def test_normalized_pruning_is_equivalent_here(self):
-        # Live hypotheses always share a length, so dividing by it cannot
-        # reorder them; the flag must not change any output.
-        rng = random.Random(31)
-        for case in range(10):
-            bodies = [[3 + rng.randrange(4) for _ in range(15)] for _ in range(2)]
-            scorer = trained_scorer(bodies, seed=case, rng_streams=2)
-            raw = constrained_beam_search(
-                scorer,
-                [],
-                substring_constraint(bodies),
-                BeamConfig(3, 5, prune_normalized=False),
-            )
-            normalized = constrained_beam_search(
-                scorer,
-                [],
-                substring_constraint(bodies),
-                BeamConfig(3, 5, prune_normalized=True),
-            )
-            assert [(r.tokens, r.score) for r in raw] == [
-                (r.tokens, r.score) for r in normalized
-            ]
-
-
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         bodies = [[3, 4, 5, 4, 3, 6], [4, 5, 6, 3]]

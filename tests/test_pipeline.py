@@ -7,50 +7,21 @@ from hypothesis import strategies as st
 import helpers
 import oracles
 from passrecall.corpus import ingest_corpus
+from passrecall.fmindex import DocSetConstraint
 from passrecall.pipeline import (
     InternalInconsistencyError,
+    PrefixResult,
     RecallConfig,
     RecallEngine,
     StageOneResult,
     combine_scores,
     extract_reference,
-    kmp_find_first,
     localize,
     recall_prefixes,
     recall_titles,
     select_documents,
 )
 from passrecall.scorer import NGramScorer, corpus_scorer
-
-token_lists = st.lists(st.integers(min_value=3, max_value=6), max_size=30)
-
-
-class TestKMP:
-    def test_first_occurrence(self):
-        # "x x a b c x x a b c" with x=9 a=3 b=4 c=5
-        haystack = [9, 9, 3, 4, 5, 9, 9, 3, 4, 5]
-        assert kmp_find_first(haystack, [3, 4, 5]) == 2
-
-    def test_absent_pattern(self):
-        assert kmp_find_first([3, 4, 5], [4, 3]) is None
-
-    def test_empty_needle_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            kmp_find_first([3, 4], [])
-
-    def test_needle_longer_than_haystack(self):
-        assert kmp_find_first([3], [3, 4]) is None
-
-    def test_self_overlapping_needle(self):
-        haystack = [3, 3, 3, 4, 3, 3, 4]
-        assert kmp_find_first(haystack, [3, 3, 4]) == 1
-
-    @given(haystack=token_lists, needle=token_lists.filter(lambda t: t))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_naive_scan(self, haystack, needle):
-        occurrences = oracles.naive_locate(haystack, needle)
-        expected = occurrences[0] if occurrences else None
-        assert kmp_find_first(haystack, needle) == expected
 
 
 class TestSelectDocuments:
@@ -85,26 +56,26 @@ class TestLocalize:
             ]
         )
 
+    def prefix(self, tokens, live_doc_ids):
+        return PrefixResult(tuple(tokens), -1.0, tuple(live_doc_ids))
+
     def test_scans_documents_in_given_order(self):
         corpus = self.corpus()
-        prefix = corpus.codec.encode("cat dog")
-        ordered = [StageOneResult("two", "d2", -0.1), StageOneResult("one", "d1", -0.2)]
-        doc_id, start = localize(prefix, ordered, corpus)
-        assert (doc_id, start) == ("d2", 1)
-        flipped = list(reversed(ordered))
-        assert localize(prefix, flipped, corpus) == ("d1", 0)
+        indexes = helpers.build_indexes(corpus)
+        tokens = corpus.codec.encode("cat dog")
+        assert localize(self.prefix(tokens, ["d2", "d1"]), indexes) == ("d2", 1)
+        assert localize(self.prefix(tokens, ["d1", "d2"]), indexes) == ("d1", 0)
 
     def test_falls_through_to_later_documents(self):
         corpus = self.corpus()
-        prefix = corpus.codec.encode("bird")
-        ordered = [StageOneResult("one", "d1", -0.1), StageOneResult("two", "d2", -0.2)]
-        assert localize(prefix, ordered, corpus) == ("d2", 3)
+        indexes = helpers.build_indexes(corpus)
+        tokens = corpus.codec.encode("bird")
+        assert localize(self.prefix(tokens, ["d1", "d2"]), indexes) == ("d2", 3)
 
     def test_absent_prefix_is_internal_inconsistency(self):
-        corpus = self.corpus()
-        ordered = [StageOneResult("one", "d1", -0.1)]
+        indexes = helpers.build_indexes(self.corpus())
         with pytest.raises(InternalInconsistencyError, match="not found"):
-            localize([99, 98], ordered, corpus)
+            localize(self.prefix([99, 98], ["d1"]), indexes)
 
     def test_randomized_against_naive_scan(self):
         rng = random.Random(17)
@@ -120,23 +91,26 @@ class TestLocalize:
                     {"id": doc_id, "title": f"title {doc_id}", "text": [surface]}
                 )
             corpus = ingest_corpus(records)
-            ordered = [
-                StageOneResult(f"title {doc_id}", doc_id, -float(i))
-                for i, doc_id in enumerate(bodies)
-            ]
-            source = rng.choice(list(bodies))
+            indexes = helpers.build_indexes(corpus)
+            ordered = list(bodies)
+            source = rng.choice(ordered)
             tokens = corpus.document(source).body_tokens
             m = rng.randrange(1, min(4, len(tokens)) + 1)
             i = rng.randrange(len(tokens) - m + 1)
             prefix = list(tokens[i : i + m])
-            got = localize(prefix, ordered, corpus)
+            # Live documents as stage 2 leaves them: the constraint advanced
+            # over the prefix, starting from the selected documents in order.
+            docs = DocSetConstraint([(d, indexes[d]) for d in ordered])
+            for token in prefix:
+                docs = docs.advance(token)
+            got = localize(self.prefix(prefix, docs.live_doc_ids()), indexes)
             expected = None
-            for result in ordered:
+            for doc_id in ordered:
                 occurrences = oracles.naive_locate(
-                    corpus.document(result.doc_id).body_tokens, prefix
+                    corpus.document(doc_id).body_tokens, prefix
                 )
                 if occurrences:
-                    expected = (result.doc_id, occurrences[0])
+                    expected = (doc_id, occurrences[0])
                     break
             assert got == expected
 

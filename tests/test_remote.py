@@ -35,6 +35,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if server.delay:
             time.sleep(server.delay)
+        if server.reply_with is not None:
+            self._reply(200, server.reply_with)
+            return
         if body.get("vocab_hash") != server.vocab_hash:
             self._reply(400, {"error": "vocabulary mismatch"})
             return
@@ -68,6 +71,7 @@ class Stub:
         self.server.delay = 0.0
         self.server.drop_one = False
         self.server.inject_nan = False
+        self.server.reply_with = None
         self.server.request_count = 0
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
@@ -137,6 +141,22 @@ def test_nan_is_a_protocol_error(stub):
     stub.server.inject_nan = True
     client = make_client(stub)
     with pytest.raises(ScorerProtocolError, match="out of range"):
+        client.log_probs([3], {4, 5})
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        [1, 2],
+        {"logprobs": {"4": "abc", "5": -1.0}},
+        {"logprobs": {"4": [1], "5": -1.0}},
+    ],
+    ids=["body-not-object", "non-numeric", "not-scalar"],
+)
+def test_malformed_reply_is_a_protocol_error(stub, reply):
+    stub.server.reply_with = reply
+    client = make_client(stub)
+    with pytest.raises(ScorerProtocolError):
         client.log_probs([3], {4, 5})
 
 

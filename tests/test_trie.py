@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+import helpers
 import oracles
 from passrecall.corpus import END_ID, ingest_corpus
 from passrecall.trie import TitleTrie, build_trie, load_trie, save_trie
@@ -122,3 +124,24 @@ class TestPersistence:
         save_trie(trie, a)
         save_trie(trie, b)
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_bytes_of_synthetic_fixture_unchanged(self, tmp_path):
+        path = str(tmp_path / "trie.bin")
+        save_trie(build_trie(helpers.synthetic_corpus()), path)
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == (
+            "7167aa8ec82a9a528a280ee3b9ab470928fbe894db31f189df02e623327d5f90"
+        )
+
+    def test_very_long_title_roundtrips(self, tmp_path):
+        title = tuple(3 + i % 7 for i in range(5000))
+        trie = trie_from([title, title[:3]])
+        path = str(tmp_path / "trie.bin")
+        save_trie(trie, path)
+        loaded = load_trie(path)
+        assert loaded.node_count == trie.node_count == 5001
+        assert loaded.terminal_count == 2
+        assert loaded.max_depth == 5000
+        assert loaded.resolve_title(title) == "doc-0"
+        assert loaded.resolve_title(title[:3]) == "doc-1"
