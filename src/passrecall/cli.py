@@ -103,7 +103,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     index_files: dict[str, str] = {}
     total_bytes = 0
     for position, doc in enumerate(corpus.documents):
-        index = BWTIndex.build(doc.body_tokens, reverse=True, doc_id=doc.doc_id)
+        index = BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id)
         rel_path = os.path.join("fm", f"{position:06d}.bin")
         save_index(index, os.path.join(out_dir, rel_path))
         index_files[doc.doc_id] = rel_path
@@ -155,16 +155,21 @@ def load_artifacts(index_dir: str) -> Artifacts:
         raise DataError(f"manifest unreadable: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError("manifest must hold a JSON object")
-    for key in ("corpus_file", "trie_file"):
+    for key in ("corpus_file", "corpus_digest", "trie_file", "trie_digest"):
         if not isinstance(manifest.get(key), str):
-            raise DataError(f"manifest lacks a {key!r} path")
+            raise DataError(f"manifest lacks a string {key!r}")
     index_files = manifest.get("index_files", {})
     if not isinstance(index_files, dict):
         raise DataError("manifest 'index_files' must be a JSON object")
 
+    corpus_path = os.path.join(index_dir, manifest["corpus_file"])
+    trie_path = os.path.join(index_dir, manifest["trie_file"])
     try:
-        corpus = load_corpus(os.path.join(index_dir, manifest["corpus_file"]))
-        trie = load_trie(os.path.join(index_dir, manifest["trie_file"]))
+        for path, key in ((corpus_path, "corpus_digest"), (trie_path, "trie_digest")):
+            if _sha256_file(path) != manifest[key]:
+                raise DataError(f"{path} does not match the manifest's {key}")
+        corpus = load_corpus(corpus_path)
+        trie = load_trie(trie_path)
     except FileNotFoundError as exc:
         raise DataError(f"missing artifact file: {exc}") from exc
     indexes: dict[str, BWTIndex] = {}

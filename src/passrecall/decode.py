@@ -2,10 +2,12 @@
 
 A constraint walks in lockstep with generation: at each step the candidate
 set is whatever the constraint allows, so every emitted sequence exists in
-the backing structure by construction.  The terminator (id 0) is a control
-signal, not content: choosing it freezes the hypothesis without scoring the
-terminator itself, and the final score is the mean log-probability of the
-content tokens alone.
+the backing structure by construction.  Stage 1 walks a title trie; stage
+2 walks a set of per-document FM-indexes, where appending a token is one
+backward-extension step per live document.  The terminator (id 0) is a
+control signal, not content: choosing it freezes the hypothesis without
+scoring the terminator itself, and the final score is the mean
+log-probability of the content tokens alone.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .corpus import END_ID
-from .fmindex import DocSetConstraint
+from .fmindex import EMPTY_RANGE, BWTIndex, SearchRange
 from .scorer import TokenScorer
 from .trie import TitleTrie, TrieNode
 
@@ -59,7 +61,12 @@ class TrieConstraint:
 
 
 class SubstringConstraint:
-    """Restricts generation to verbatim substrings of a live document set.
+    """Restricts generation to verbatim substrings of an ordered document set.
+
+    One suffix-array range per document tracks where the generated prefix
+    still occurs; a document whose range empties is dead and never revives.
+    The constraint is a cheap per-hypothesis value, so ``step`` returns a new
+    instance instead of mutating.
 
     END_ID only becomes legal when every live occurrence has reached its
     document's end; until then the prefix keeps growing and stops only at
@@ -67,31 +74,49 @@ class SubstringConstraint:
     lets length-capped prefixes finish cleanly.
     """
 
-    def __init__(self, docs: DocSetConstraint, started: bool = False):
-        self.docs = docs
-        self.started = started
+    def __init__(
+        self,
+        entries: Sequence[tuple[str, BWTIndex]],
+        ranges: Sequence[SearchRange] | None = None,
+    ):
+        self.entries = tuple(entries)
+        if ranges is None:
+            ranges = [index.full_range() for _, index in self.entries]
+        self.ranges = tuple(ranges)
 
     def allowed(self) -> set[int]:
-        successors = self.docs.allowed_successors()
-        if successors:
+        successors: set[int] = set()
+        for (_, index), rng in zip(self.entries, self.ranges):
+            successors |= index.range_successors(rng)
+        if successors or not self.is_terminal():
             return successors
-        if self.started:
-            return {END_ID}
-        return set()
+        return {END_ID}
 
     def step(self, token: int) -> "SubstringConstraint":
         if token == END_ID:
             raise ValueError("the search finishes on END_ID instead of stepping")
-        advanced = self.docs.advance(token)
-        if not advanced.live:
+        ranges = [
+            index.backward_extend(rng, token) if not rng.empty else EMPTY_RANGE
+            for (_, index), rng in zip(self.entries, self.ranges)
+        ]
+        if all(rng.empty for rng in ranges):
             raise ValueError(f"token {token} not allowed here")
-        return SubstringConstraint(advanced, started=True)
+        return SubstringConstraint(self.entries, ranges)
 
     def is_terminal(self) -> bool:
-        return self.started
+        # Whether a token has been stepped: a step drops the sentinel's row,
+        # so it narrows every document's range below the full one.
+        return any(
+            rng != index.full_range()
+            for (_, index), rng in zip(self.entries, self.ranges)
+        )
 
     def live_doc_ids(self) -> list[str]:
-        return self.docs.live_doc_ids()
+        return [
+            doc_id
+            for (doc_id, _), rng in zip(self.entries, self.ranges)
+            if not rng.empty
+        ]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Per-document FM-indexes over token sequences.
 
 The index is the Burrows-Wheeler transform of the document plus a sentinel,
-with a full suffix array retained for exact locate.  Document indexes are
-built over the *reversed* body so that appending a token to a left-to-right
-generated prefix maps to one native backward-extension step.  Counting,
-successor enumeration, and locate all reduce to rank queries answered by
-binary search over per-symbol occurrence lists.
+with a full suffix array retained for exact locate.  Every index is built
+over the *reversed* body, so appending a token to a left-to-right generated
+prefix is one backward-extension step, while patterns and positions stay in
+the body's own left-to-right coordinates.  Backward extension is a pair of
+rank queries answered by binary search over per-symbol occurrence lists;
+the tokens that can follow a prefix are the distinct symbols in its BWT
+rows.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 from .corpus import FIRST_ID, SENTINEL_ID
-from .storage import KIND_FMINDEX, Reader, Writer
+from .storage import KIND_FMINDEX, Reader, StorageError, Writer
 
-# Below this range width it is cheaper to read bwt[lo:hi) directly than to
-# probe every distinct symbol.
-_SCAN_THRESHOLD = 256
+# The orientation byte every index file carries; only reversed indexes exist.
+_REVERSED = 1
 
 
 def build_suffix_array(tokens: Sequence[int]) -> list[int]:
@@ -78,11 +79,10 @@ EMPTY_RANGE = SearchRange(0, 0)
 
 
 class BWTIndex:
-    """FM-index over one document's token sequence.
+    """FM-index over one document's reversed token sequence.
 
-    ``reversed_text`` indexes say the BWT was taken over the reversed
-    sequence; their patterns and positions are still expressed in original
-    (unreversed) coordinates, with the reversal handled internally.
+    Patterns and positions are expressed in original (unreversed)
+    coordinates; the reversal is handled internally.
     """
 
     def __init__(
@@ -90,13 +90,11 @@ class BWTIndex:
         bwt: Sequence[int],
         sa: Sequence[int],
         text_len: int,
-        reversed_text: bool,
         doc_id: str | None = None,
     ):
         self.bwt = list(bwt)
         self.sa = list(sa)
         self.text_len = text_len
-        self.reversed_text = reversed_text
         self.doc_id = doc_id
         counts: dict[int, int] = {}
         occ: dict[int, list[int]] = {}
@@ -109,33 +107,19 @@ class BWTIndex:
         for symbol in sorted(counts):
             self.c_table[symbol] = running
             running += counts[symbol]
-        self.symbols = sorted(s for s in counts if s != SENTINEL_ID)
 
     @classmethod
-    def build(
-        cls, tokens: Sequence[int], reverse: bool = True, doc_id: str | None = None
-    ) -> "BWTIndex":
+    def build(cls, tokens: Sequence[int], doc_id: str | None = None) -> "BWTIndex":
         if any(t < FIRST_ID for t in tokens):
             raise ValueError("document tokens may not contain reserved ids")
-        indexed = list(reversed(tokens)) if reverse else list(tokens)
+        indexed = list(reversed(tokens))
         sa = build_suffix_array(indexed)
         return cls(
-            bwt=bwt_from_sa(indexed, sa),
-            sa=sa,
-            text_len=len(tokens),
-            reversed_text=reverse,
-            doc_id=doc_id,
+            bwt=bwt_from_sa(indexed, sa), sa=sa, text_len=len(tokens), doc_id=doc_id
         )
 
     def full_range(self) -> SearchRange:
         return SearchRange(0, len(self.bwt))
-
-    def rank(self, symbol: int, row: int) -> int:
-        """Occurrences of ``symbol`` in bwt[0:row)."""
-        positions = self.occ.get(symbol)
-        if positions is None:
-            return 0
-        return bisect_left(positions, row)
 
     def backward_extend(self, rng: SearchRange, symbol: int) -> SearchRange:
         """Narrow ``rng`` to the rows whose suffixes start with symbol+pattern."""
@@ -149,22 +133,18 @@ class BWTIndex:
         )
 
     def range_successors(self, rng: SearchRange) -> set[int]:
-        """Distinct symbols whose backward extension of ``rng`` is nonempty."""
-        if rng.empty:
-            return set()
-        if rng.width <= _SCAN_THRESHOLD:
-            return {s for s in self.bwt[rng.lo : rng.hi] if s != SENTINEL_ID}
-        return {
-            s for s in self.symbols if not self.backward_extend(rng, s).empty
-        }
+        """Distinct non-sentinel symbols of bwt[lo:hi): the symbols whose
+        backward extension of ``rng`` is nonempty."""
+        successors = set(self.bwt[rng.lo : rng.hi])
+        successors.discard(SENTINEL_ID)
+        return successors
 
     def match_range(self, pattern: Sequence[int]) -> SearchRange:
         """Suffix-array range matching ``pattern`` (original orientation)."""
         rng = self.full_range()
-        # Backward search consumes the indexed pattern right to left; for a
-        # reversed index that is the original pattern left to right.
-        order = pattern if self.reversed_text else reversed(pattern)
-        for symbol in order:
+        # Backward search consumes the reversed pattern right to left, which
+        # is the original pattern left to right.
+        for symbol in pattern:
             rng = self.backward_extend(rng, symbol)
             if rng.empty:
                 return EMPTY_RANGE
@@ -178,64 +158,8 @@ class BWTIndex:
         if not pattern:
             raise ValueError("pattern must be nonempty")
         rng = self.match_range(pattern)
-        if self.reversed_text:
-            shift = self.text_len - len(pattern)
-            positions = [shift - self.sa[row] for row in range(rng.lo, rng.hi)]
-        else:
-            positions = [self.sa[row] for row in range(rng.lo, rng.hi)]
-        return sorted(positions)
-
-
-class DocSetConstraint:
-    """Live substring state across an ordered set of document indexes.
-
-    One search range per document tracks where the generated prefix still
-    occurs.  A document whose range empties is dead and never revives; the
-    constraint is a cheap per-hypothesis value, so ``advance`` returns a new
-    instance instead of mutating.
-    """
-
-    def __init__(
-        self,
-        entries: Sequence[tuple[str, BWTIndex]],
-        ranges: Sequence[SearchRange] | None = None,
-    ):
-        self.entries = tuple(entries)
-        for _, index in self.entries:
-            if not index.reversed_text:
-                raise ValueError(
-                    "successor enumeration needs reversed-orientation indexes"
-                )
-        if ranges is None:
-            self.ranges = tuple(index.full_range() for _, index in self.entries)
-        else:
-            self.ranges = tuple(ranges)
-
-    @property
-    def live(self) -> bool:
-        return any(not rng.empty for rng in self.ranges)
-
-    def live_doc_ids(self) -> list[str]:
-        return [
-            doc_id
-            for (doc_id, _), rng in zip(self.entries, self.ranges)
-            if not rng.empty
-        ]
-
-    def allowed_successors(self) -> set[int]:
-        """Tokens that can extend the current prefix in some live document."""
-        allowed: set[int] = set()
-        for (_, index), rng in zip(self.entries, self.ranges):
-            if not rng.empty:
-                allowed |= index.range_successors(rng)
-        return allowed
-
-    def advance(self, symbol: int) -> "DocSetConstraint":
-        new_ranges = [
-            index.backward_extend(rng, symbol) if not rng.empty else EMPTY_RANGE
-            for (_, index), rng in zip(self.entries, self.ranges)
-        ]
-        return DocSetConstraint(self.entries, new_ranges)
+        shift = self.text_len - len(pattern)
+        return sorted(shift - self.sa[row] for row in range(rng.lo, rng.hi))
 
 
 def save_index(index: BWTIndex, path: str) -> None:
@@ -243,7 +167,7 @@ def save_index(index: BWTIndex, path: str) -> None:
         writer = Writer(handle)
         writer.header(KIND_FMINDEX)
         writer.text(index.doc_id or "")
-        writer.u8(1 if index.reversed_text else 0)
+        writer.u8(_REVERSED)
         writer.u64(index.text_len)
         writer.u32_seq(index.bwt)
         writer.u32_seq(index.sa)
@@ -254,10 +178,13 @@ def load_index(path: str) -> BWTIndex:
         reader = Reader(handle)
         reader.header(KIND_FMINDEX)
         doc_id = reader.text() or None
-        reversed_text = bool(reader.u8())
+        orientation = reader.u8()
+        if orientation != _REVERSED:
+            raise StorageError(
+                f"index file {path} has orientation byte {orientation}, "
+                f"not {_REVERSED} (reversed)"
+            )
         text_len = reader.u64()
         bwt = reader.u32_seq()
         sa = reader.u32_seq()
-    return BWTIndex(
-        bwt=bwt, sa=sa, text_len=text_len, reversed_text=reversed_text, doc_id=doc_id
-    )
+    return BWTIndex(bwt=bwt, sa=sa, text_len=text_len, doc_id=doc_id)

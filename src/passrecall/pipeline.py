@@ -22,7 +22,7 @@ from .decode import (
     TrieConstraint,
     constrained_beam_search,
 )
-from .fmindex import BWTIndex, DocSetConstraint
+from .fmindex import BWTIndex
 from .scorer import (
     STAGE_ONE,
     STAGE_TWO,
@@ -187,7 +187,7 @@ def recall_prefixes(
         if index is None:
             raise KeyError(f"missing index for document {result.doc_id!r}")
         entries.append((result.doc_id, index))
-    constraint = SubstringConstraint(DocSetConstraint(entries))
+    constraint = SubstringConstraint(entries)
     prompt = render_prompt(config.stage2_template, query, corpus.codec)
     results = constrained_beam_search(
         scorer,
@@ -245,9 +245,7 @@ def _rescore_passage(
     scorer: TokenScorer,
 ) -> float:
     """Mean log-prob of the whole passage under the single-document constraint."""
-    constraint = SubstringConstraint(
-        DocSetConstraint([(doc_id, indexes[doc_id])])
-    )
+    constraint = SubstringConstraint([(doc_id, indexes[doc_id])])
     total = 0.0
     context = list(prompt)
     for token in passage:

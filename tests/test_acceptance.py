@@ -26,7 +26,7 @@ from passrecall.decode import (
     constrained_beam_search,
 )
 from passrecall.evaluation import EvalItem, aggregate, evaluate_item
-from passrecall.fmindex import BWTIndex, DocSetConstraint, build_suffix_array
+from passrecall.fmindex import BWTIndex, build_suffix_array
 from passrecall.pipeline import (
     RecallEngine,
     combine_scores,
@@ -58,10 +58,10 @@ def test_criterion_01_bwt_worked_example():
     text = [ids[c] for c in "CABAC"]
     with criterion(1, "BWT of CABAC gives L = C C B A A $ in under 1 ms"):
         best = min(
-            _timed(lambda: BWTIndex.build(text, reverse=False))[1]
+            _timed(lambda: BWTIndex.build(text))[1]
             for _ in range(5)
         )
-        index = BWTIndex.build(text, reverse=False)
+        index = BWTIndex.build(text)
         last_column = [names[t] for t in index.bwt]
         assert last_column == ["C", "C", "B", "A", "A", "$"]
         first_column = sorted(last_column)
@@ -122,15 +122,15 @@ def test_criterion_03_fmindex_successor_example():
             (doc.doc_id, BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id))
             for doc in corpus.documents
         ]
-        state = DocSetConstraint(entries)
-        state = state.advance(codec.token_id("The"))
-        assert surfaces(codec, state.allowed_successors()) == {
+        state = SubstringConstraint(entries)
+        state = state.step(codec.token_id("The"))
+        assert surfaces(codec, state.allowed()) == {
             "christ",
             "Greece",
             "Johan",
         }
-        state = state.advance(codec.token_id("Greece"))
-        assert surfaces(codec, state.allowed_successors()) == {"U", "G", "part"}
+        state = state.step(codec.token_id("Greece"))
+        assert surfaces(codec, state.allowed()) == {"U", "G", "part"}
         assert state.live_doc_ids() == ["d2"]
 
 
@@ -157,7 +157,7 @@ def test_criterion_04_oracle_equivalence_suites():
             n = _instance_size(rng, i, total)
             alphabet = rng.randint(2, 100)
             text = helpers.random_token_text(rng, alphabet, n)
-            index = BWTIndex.build(text, reverse=True)
+            index = BWTIndex.build(text)
             patterns = [helpers.random_token_text(rng, alphabet, rng.randint(1, 4))]
             pos = rng.randrange(n)
             patterns.append(text[pos : pos + rng.randint(1, min(6, n))])
@@ -261,7 +261,7 @@ def test_criterion_05_decode_soundness():
             results = constrained_beam_search(
                 scorer,
                 prompt,
-                SubstringConstraint(DocSetConstraint(entries)),
+                SubstringConstraint(entries),
                 BeamConfig(beam_size=rng.randint(1, 8), max_len=rng.randint(2, 6)),
             )
             for result in results:
@@ -346,7 +346,7 @@ def test_criterion_06_exhaustive_beam_equivalence():
             results = constrained_beam_search(
                 scorer,
                 prompt,
-                SubstringConstraint(DocSetConstraint(entries)),
+                SubstringConstraint(entries),
                 BeamConfig(beam_size=64, max_len=max_len),
             )
             expected = sorted(

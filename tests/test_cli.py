@@ -284,8 +284,17 @@ class TestRecall:
             lambda m: {k: v for k, v in m.items() if k != "corpus_file"},
             lambda m: {k: v for k, v in m.items() if k != "trie_file"},
             lambda m: {**m, "index_files": ["fm/000000.bin"]},
+            lambda m: {k: v for k, v in m.items() if k != "corpus_digest"},
+            lambda m: {**m, "trie_digest": 7},
         ],
-        ids=["not-object", "no-corpus-file", "no-trie-file", "index-files-list"],
+        ids=[
+            "not-object",
+            "no-corpus-file",
+            "no-trie-file",
+            "index-files-list",
+            "no-corpus-digest",
+            "int-trie-digest",
+        ],
     )
     def test_malformed_manifest_is_a_data_error(self, workspace, tmp_path, edit):
         index_dir = copy_artifacts(workspace, tmp_path)
@@ -310,6 +319,35 @@ class TestRecall:
         os.rename(second, first)
         os.rename(first + ".tmp", second)
         assert recall_code(index_dir, workspace) == 2
+
+    @pytest.mark.parametrize("name", ["corpus.bin", "trie.bin"])
+    def test_changed_byte_fails_the_digest(self, workspace, tmp_path, caplog, name):
+        index_dir = copy_artifacts(workspace, tmp_path)
+        path = os.path.join(index_dir, name)
+        data = bytearray(open(path, "rb").read())
+        data[len(data) // 2] ^= 0x01
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with caplog.at_level(logging.ERROR, logger="passrecall.cli"):
+            assert recall_code(index_dir, workspace) == 2
+        assert any("digest" in message for message in caplog.messages)
+
+    def test_wrong_orientation_byte_is_a_data_error(self, workspace, tmp_path, caplog):
+        index_dir = copy_artifacts(workspace, tmp_path)
+        with open(os.path.join(index_dir, "manifest.json"), encoding="utf-8") as fh:
+            index_files = json.load(fh)["index_files"]
+        for doc_id, rel in index_files.items():
+            path = os.path.join(index_dir, rel)
+            data = bytearray(open(path, "rb").read())
+            # The 12-byte header, then the doc id as a u64 length and bytes.
+            offset = 12 + 8 + len(doc_id.encode("utf-8"))
+            assert data[offset] == 1
+            data[offset] = 0
+            with open(path, "wb") as fh:
+                fh.write(data)
+        with caplog.at_level(logging.ERROR, logger="passrecall.cli"):
+            assert recall_code(index_dir, workspace) == 2
+        assert any("orientation" in message for message in caplog.messages)
 
     def test_out_of_range_alpha_is_a_data_error(self, workspace, tmp_path):
         code = run_cli(

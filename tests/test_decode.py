@@ -12,7 +12,7 @@ from passrecall.decode import (
     TrieConstraint,
     constrained_beam_search,
 )
-from passrecall.fmindex import BWTIndex, DocSetConstraint
+from passrecall.fmindex import BWTIndex
 from passrecall.scorer import NGramScorer
 from passrecall.trie import TitleTrie
 
@@ -29,7 +29,7 @@ def substring_constraint(bodies):
         (f"doc-{i}", BWTIndex.build(list(body), doc_id=f"doc-{i}"))
         for i, body in enumerate(bodies)
     ]
-    return SubstringConstraint(DocSetConstraint(entries))
+    return SubstringConstraint(entries)
 
 
 def trained_scorer(streams, order=3, seed=None, rng_streams=0, alphabet=6):
@@ -127,7 +127,7 @@ class TestTitleSearch:
         assert abs(results[0].score - expected) <= 1e-9
 
     def test_initial_dead_constraint_is_an_error(self):
-        empty = SubstringConstraint(DocSetConstraint([]))
+        empty = SubstringConstraint([])
         with pytest.raises(ValueError, match="no tokens at the start"):
             constrained_beam_search(
                 NGramScorer(), [], empty, BeamConfig(beam_size=2, max_len=2)

@@ -1,14 +1,16 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
-from passrecall.corpus import SENTINEL_ID
+from passrecall.corpus import END_ID, SENTINEL_ID
+from passrecall.decode import SubstringConstraint
 from passrecall.fmindex import (
     BWTIndex,
-    DocSetConstraint,
     SearchRange,
     build_suffix_array,
     bwt_from_sa,
@@ -65,53 +67,14 @@ def random_case(rng, alphabet=4, length=60):
     return [3 + rng.randrange(alphabet) for _ in range(length)]
 
 
-class TestBWTIndexForward:
-    """Plain orientation: patterns and positions used as-is."""
-
-    def test_count_and_locate_match_naive(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            text = random_case(rng, alphabet=3, length=rng.randrange(1, 80))
-            index = BWTIndex.build(text, reverse=False)
-            for _ in range(10):
-                m = rng.randrange(1, 5)
-                if rng.random() < 0.7 and len(text) >= m:
-                    i = rng.randrange(len(text) - m + 1)
-                    pattern = text[i : i + m]
-                else:
-                    pattern = random_case(rng, alphabet=3, length=m)
-                assert index.count(pattern) == oracles.naive_count(text, pattern)
-                assert index.locate_all(pattern) == oracles.naive_locate(
-                    text, pattern
-                )
-
-    def test_empty_pattern_rejected(self):
-        index = BWTIndex.build([3, 4, 5], reverse=False)
-        with pytest.raises(ValueError, match="nonempty"):
-            index.locate_all([])
-
-    def test_reserved_ids_rejected(self):
-        with pytest.raises(ValueError, match="reserved"):
-            BWTIndex.build([3, 0, 4])
-
-    def test_backward_extend_empty_range_stays_empty(self):
-        index = BWTIndex.build([3, 4, 5], reverse=False)
-        rng_ = index.backward_extend(SearchRange(2, 2), 3)
-        assert rng_.empty
-
-    def test_absent_symbol_gives_empty_range(self):
-        index = BWTIndex.build([3, 4, 5], reverse=False)
-        assert index.backward_extend(index.full_range(), 99).empty
-
-
 class TestBWTIndexReversed:
-    """Document orientation: built over the reversed text, original coordinates."""
+    """Built over the reversed text; patterns and positions in original order."""
 
     def test_locate_reports_original_positions(self):
         rng = random.Random(12)
         for _ in range(40):
             text = random_case(rng, alphabet=3, length=rng.randrange(1, 80))
-            index = BWTIndex.build(text, reverse=True)
+            index = BWTIndex.build(text)
             for _ in range(10):
                 m = rng.randrange(1, 5)
                 if rng.random() < 0.7 and len(text) >= m:
@@ -128,7 +91,7 @@ class TestBWTIndexReversed:
         rng = random.Random(13)
         for _ in range(30):
             text = random_case(rng, alphabet=4, length=rng.randrange(2, 60))
-            index = BWTIndex.build(text, reverse=True)
+            index = BWTIndex.build(text)
             for _ in range(8):
                 m = rng.randrange(0, 4)
                 if m == 0:
@@ -146,29 +109,48 @@ class TestBWTIndexReversed:
                 )
 
     def test_successor_probe_path_on_wide_ranges(self):
-        # Range wider than the scan threshold forces the per-symbol probes.
+        # The widest range, the whole document: every distinct token.
         rng = random.Random(14)
         text = random_case(rng, alphabet=3, length=900)
-        index = BWTIndex.build(text, reverse=True)
+        index = BWTIndex.build(text)
         got = index.range_successors(index.full_range())
         assert got == set(text)
 
+    def test_empty_pattern_rejected(self):
+        index = BWTIndex.build([3, 4, 5])
+        with pytest.raises(ValueError, match="nonempty"):
+            index.locate_all([])
 
-class TestDocSetConstraint:
+    def test_reserved_ids_rejected(self):
+        with pytest.raises(ValueError, match="reserved"):
+            BWTIndex.build([3, 0, 4])
+
+    def test_backward_extend_empty_range_stays_empty(self):
+        index = BWTIndex.build([3, 4, 5])
+        rng_ = index.backward_extend(SearchRange(2, 2), 3)
+        assert rng_.empty
+
+    def test_absent_symbol_gives_empty_range(self):
+        index = BWTIndex.build([3, 4, 5])
+        assert index.backward_extend(index.full_range(), 99).empty
+
+
+class TestSubstringConstraint:
     def build_set(self, bodies):
         entries = [
             (f"doc-{i}", BWTIndex.build(body, doc_id=f"doc-{i}"))
             for i, body in enumerate(bodies)
         ]
-        return DocSetConstraint(entries)
+        return SubstringConstraint(entries)
 
     def test_initial_successors_are_all_distinct_tokens(self):
         bodies = [[3, 4, 5], [5, 6]]
         state = self.build_set(bodies)
-        assert state.allowed_successors() == {3, 4, 5, 6}
+        assert state.allowed() == {3, 4, 5, 6}
         assert state.live_doc_ids() == ["doc-0", "doc-1"]
+        assert not state.is_terminal()
 
-    def test_advance_narrows_to_union_of_live_docs(self):
+    def test_step_narrows_to_union_of_live_docs(self):
         rng = random.Random(15)
         for _ in range(25):
             bodies = [
@@ -178,12 +160,14 @@ class TestDocSetConstraint:
             state = self.build_set(bodies)
             generated = []
             for _ in range(6):
-                allowed = state.allowed_successors()
-                assert allowed == oracles.naive_successors(bodies, generated)
-                if not allowed:
+                allowed = state.allowed()
+                successors = oracles.naive_successors(bodies, generated)
+                assert allowed == (successors or {END_ID})
+                if not successors:
                     break
                 token = sorted(allowed)[rng.randrange(len(allowed))]
-                state = state.advance(token)
+                state = state.step(token)
+                assert state.is_terminal()
                 generated.append(token)
                 expected_live = [
                     f"doc-{i}"
@@ -194,16 +178,12 @@ class TestDocSetConstraint:
 
     def test_dead_doc_stays_dead(self):
         state = self.build_set([[3, 4], [5, 6]])
-        state = state.advance(3)
+        state = state.step(3)
         assert state.live_doc_ids() == ["doc-0"]
-        state = state.advance(4)
+        state = state.step(4)
         assert state.live_doc_ids() == ["doc-0"]
-        assert state.allowed_successors() == set()
-
-    def test_requires_reversed_indexes(self):
-        forward = BWTIndex.build([3, 4], reverse=False)
-        with pytest.raises(ValueError, match="reversed"):
-            DocSetConstraint([("doc-0", forward)])
+        # doc-0 is exhausted, so stopping is the only legal move.
+        assert state.allowed() == {END_ID}
 
 
 class TestPersistence:
@@ -214,7 +194,6 @@ class TestPersistence:
         save_index(index, path)
         loaded = load_index(path)
         assert loaded.doc_id == "doc-9"
-        assert loaded.reversed_text is True
         assert loaded.text_len == len(text)
         assert loaded.bwt == index.bwt
         assert loaded.locate_all([3, 5]) == index.locate_all([3, 5])
@@ -226,3 +205,13 @@ class TestPersistence:
         save_index(index, a)
         save_index(index, b)
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_bytes_of_synthetic_fixture_unchanged(self, tmp_path):
+        doc = helpers.synthetic_corpus().documents[0]
+        path = str(tmp_path / "doc.bin")
+        save_index(BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id), path)
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == (
+            "86fe5b51a41fbbdbdfbdc2d84008404d07e1654405c3017668abc59487d13120"
+        )
