@@ -1,8 +1,9 @@
 """Command-line front end: build artifacts, run recalls, evaluate, sweep.
 
-Exit codes: 0 success, 1 usage, 2 data error (unreadable or malformed
-inputs, missing artifacts, unreachable endpoint), 3 internal inconsistency
-(index and text disagree, which means a bug, not bad data).
+Exit codes: 0 success, 1 usage, 2 data error (unreadable, undecodable or
+malformed inputs, missing or tampered artifacts, unreachable endpoint),
+3 internal inconsistency (index and text disagree, which means a bug, not
+bad data).
 """
 
 from __future__ import annotations
@@ -47,13 +48,14 @@ from .scorer import (
     corpus_scorer,
     default_templates,
 )
-from .storage import StorageError
+from .storage import FORMAT_VERSION, StorageError
 from .trie import TitleTrie, build_trie, load_trie, save_trie
 
 logger = logging.getLogger(__name__)
 
 ENDPOINT_ENV = "PASSRECALL_ENDPOINT"
 MANIFEST_NAME = "manifest.json"
+ARTIFACT_NAME = "artifacts.bin"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,11 +75,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _sha256_file(path: str) -> str:
+def _sha256(handle) -> str:
+    """Digest of an open binary file from its position to its end."""
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(65536), b""):
-            digest.update(block)
+    for block in iter(lambda: handle.read(65536), b""):
+        digest.update(block)
     return digest.hexdigest()
 
 
@@ -85,50 +87,27 @@ def _sha256_file(path: str) -> str:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    try:
-        corpus = load_jsonl_corpus(args.corpus)
-    except FileNotFoundError as exc:
-        raise DataError(f"cannot read corpus: {exc}") from exc
-
-    out_dir = args.out
-    fm_dir = os.path.join(out_dir, "fm")
-    os.makedirs(fm_dir, exist_ok=True)
-
-    corpus_path = os.path.join(out_dir, "corpus.bin")
-    save_corpus(corpus, corpus_path)
-    trie = build_trie(corpus)
-    trie_path = os.path.join(out_dir, "trie.bin")
-    save_trie(trie, trie_path)
-
-    index_files: dict[str, str] = {}
-    total_bytes = 0
-    for position, doc in enumerate(corpus.documents):
-        index = BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id)
-        rel_path = os.path.join("fm", f"{position:06d}.bin")
-        save_index(index, os.path.join(out_dir, rel_path))
-        index_files[doc.doc_id] = rel_path
-        total_bytes += os.path.getsize(os.path.join(out_dir, rel_path))
-
-    manifest = {
-        "format_version": 1,
-        "corpus_file": "corpus.bin",
-        "trie_file": "trie.bin",
-        "index_files": dict(sorted(index_files.items())),
-        "document_count": len(corpus.documents),
-        "vocab_size": corpus.codec.vocab_size,
-        "corpus_digest": _sha256_file(corpus_path),
-        "trie_digest": _sha256_file(trie_path),
-        "total_index_bytes": total_bytes,
-        "skipped_empty": corpus.skipped_empty,
-    }
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+    corpus = load_jsonl_corpus(args.corpus)
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, ARTIFACT_NAME), "w+b") as handle:
+        save_corpus(corpus, handle)
+        save_trie(build_trie(corpus), handle)
+        for doc in corpus.documents:
+            save_index(BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id), handle)
+        artifact_bytes = handle.tell()
+        handle.seek(0)
+        manifest = {
+            "artifact_digest": _sha256(handle),
+            "format_version": FORMAT_VERSION,
+        }
+    # No trailing newline: cutting any byte off the file leaves invalid JSON.
+    with open(os.path.join(args.out, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
     print(
         f"documents: {len(corpus.documents)}\n"
         f"vocabulary: {corpus.codec.vocab_size}\n"
-        f"index bytes: {total_bytes}"
+        f"artifact bytes: {artifact_bytes}"
     )
     return EXIT_OK
 
@@ -141,68 +120,49 @@ class Artifacts:
     corpus: Corpus
     trie: TitleTrie
     indexes: dict[str, BWTIndex]
-    manifest: dict
+    digest: str
 
 
 def load_artifacts(index_dir: str) -> Artifacts:
-    manifest_path = os.path.join(index_dir, MANIFEST_NAME)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"no manifest at {manifest_path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"manifest unreadable: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataError("manifest must hold a JSON object")
-    for key in ("corpus_file", "corpus_digest", "trie_file", "trie_digest"):
-        if not isinstance(manifest.get(key), str):
-            raise DataError(f"manifest lacks a string {key!r}")
-    index_files = manifest.get("index_files", {})
-    if not isinstance(index_files, dict):
-        raise DataError("manifest 'index_files' must be a JSON object")
-
-    corpus_path = os.path.join(index_dir, manifest["corpus_file"])
-    trie_path = os.path.join(index_dir, manifest["trie_file"])
-    try:
-        for path, key in ((corpus_path, "corpus_digest"), (trie_path, "trie_digest")):
-            if _sha256_file(path) != manifest[key]:
-                raise DataError(f"{path} does not match the manifest's {key}")
-        corpus = load_corpus(corpus_path)
-        trie = load_trie(trie_path)
-    except FileNotFoundError as exc:
-        raise DataError(f"missing artifact file: {exc}") from exc
-    indexes: dict[str, BWTIndex] = {}
-    for doc in corpus.documents:
-        rel = index_files.get(doc.doc_id)
-        if not isinstance(rel, str):
-            raise DataError(f"manifest lists no index for document {doc.doc_id!r}")
-        path = os.path.join(index_dir, rel)
+    """Check the manifest's version and digest, then read every section."""
+    with open(os.path.join(index_dir, MANIFEST_NAME), encoding="utf-8") as fh:
         try:
-            index = load_index(path)
-        except FileNotFoundError as exc:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"manifest unreadable: {exc}") from exc
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != FORMAT_VERSION:
+        raise DataError(
+            f"manifest must be a JSON object with format_version {FORMAT_VERSION}"
+        )
+    with open(os.path.join(index_dir, ARTIFACT_NAME), "rb") as handle:
+        digest = _sha256(handle)
+        if manifest.get("artifact_digest") != digest:
             raise DataError(
-                f"missing index file for document {doc.doc_id!r}: {path}"
-            ) from exc
-        if index.doc_id != doc.doc_id or index.text_len != len(doc.body_tokens):
-            raise DataError(
-                f"index file {path} holds document {index.doc_id!r} of "
-                f"{index.text_len} tokens, not {doc.doc_id!r} of "
-                f"{len(doc.body_tokens)}"
+                f"{ARTIFACT_NAME} does not match the manifest's artifact_digest"
             )
-        indexes[doc.doc_id] = index
-    return Artifacts(corpus=corpus, trie=trie, indexes=indexes, manifest=manifest)
+        handle.seek(0)
+        corpus = load_corpus(handle)
+        trie = load_trie(handle)
+        indexes: dict[str, BWTIndex] = {}
+        for doc in corpus.documents:
+            index = load_index(handle)
+            if index.doc_id != doc.doc_id or index.text_len != len(doc.body_tokens):
+                raise DataError(
+                    f"index section holds document {index.doc_id!r} of "
+                    f"{index.text_len} tokens, not {doc.doc_id!r} of "
+                    f"{len(doc.body_tokens)}"
+                )
+            indexes[doc.doc_id] = index
+    return Artifacts(corpus=corpus, trie=trie, indexes=indexes, digest=digest)
 
 
 # -- recall ------------------------------------------------------------------
 
 
 def _read_queries(path: str) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return [line.strip() for line in fh if line.strip()]
-    except FileNotFoundError as exc:
-        raise DataError(f"cannot read queries: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line.strip() for line in fh if line.strip()]
 
 
 def _build_config(args: argparse.Namespace) -> RecallConfig:
@@ -212,7 +172,7 @@ def _build_config(args: argparse.Namespace) -> RecallConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise DataError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_conf, dict):
             raise DataError("config file must hold a JSON object")
@@ -309,7 +269,7 @@ def run_recall_batch(engine: RecallEngine, queries: Sequence[str]) -> list[dict]
 def _metadata_line(args, artifacts: Artifacts, config: RecallConfig, scorer_info) -> str:
     metadata = {
         "config": config.described(),
-        "corpus_digest": artifacts.manifest.get("corpus_digest"),
+        "artifact_digest": artifacts.digest,
         "document_count": len(artifacts.corpus.documents),
         "scorer": scorer_info,
         "strict_determinism": bool(args.strict_determinism),
@@ -348,11 +308,8 @@ def cmd_recall(args: argparse.Namespace) -> int:
 
 def read_recall_output(path: str) -> tuple[dict, list[dict]]:
     """Split a recall output file into its metadata header and records."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
-    except FileNotFoundError as exc:
-        raise DataError(f"cannot read recall output: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip()]
     if not lines:
         raise DataError("recall output is empty")
     try:
@@ -544,7 +501,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (DataError, IngestError, StorageError, GoldFormatError, ScorerError) as exc:
+    except (
+        DataError,
+        IngestError,
+        StorageError,
+        GoldFormatError,
+        ScorerError,
+        OSError,
+        UnicodeDecodeError,
+    ) as exc:
         logger.error("%s", exc)
         return EXIT_DATA
     except InternalInconsistencyError as exc:

@@ -3,7 +3,9 @@
 Records arrive as JSON lines with ``id``, ``title``, and ``text`` (an ordered
 array of passage fragments).  Fragments are merged into one complete document
 per record, and a shared token codec is built over all titles and bodies so
-constraints, scorers, and indexes agree on the token alphabet.
+constraints, scorers, and indexes agree on the token alphabet.  A document
+keeps its body only as token ids; passage text is decoded from them, so a
+passage is always an exact slice of the indexed body.
 
 Token ids 0, 1, 2 are reserved: 0 ends a generated sequence, 1 is the index
 sentinel (sorts below every real token), 2 is the unknown token.  Real tokens
@@ -18,7 +20,7 @@ import logging
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from .storage import KIND_CORPUS, Reader, Writer
 
@@ -231,13 +233,12 @@ _CODEC_KINDS = {"word": WordCodec, "piece": PieceCodec}
 
 @dataclass
 class Document:
-    """One complete document: merged fragments plus encoded title and body."""
+    """One complete document: normalized title plus encoded title and body."""
 
     doc_id: str
     title: str
     title_tokens: tuple[int, ...]
     body_tokens: tuple[int, ...]
-    body_text: str
 
 
 @dataclass
@@ -286,11 +287,11 @@ def ingest_corpus(
 
     for position, record in enumerate(records):
         doc_id, title, fragments = _validate_record(position, record)
-        body_text = " ".join(fragments)
+        body = " ".join(fragments)
         norm_title = codec.normalize_text(title)
         if not norm_title:
             raise IngestError(f"record {doc_id!r}: title is empty")
-        if not codec.normalize_text(body_text):
+        if not codec.normalize_text(body):
             logger.warning("record %r: empty body, skipped", doc_id)
             skipped += 1
             continue
@@ -303,10 +304,10 @@ def ingest_corpus(
             raise IngestError(f"duplicate document id {doc_id!r}")
         seen_titles[norm_title] = doc_id
         seen_ids[doc_id] = None
-        staged.append((doc_id, norm_title, body_text))
+        staged.append((doc_id, norm_title, body))
         if build_codec:
             codec.add_text(title)
-            codec.add_text(body_text)
+            codec.add_text(body)
 
     if not staged:
         raise IngestError("corpus contains no usable documents")
@@ -314,9 +315,9 @@ def ingest_corpus(
         codec.freeze()
 
     documents = []
-    for doc_id, title, body_text in staged:
+    for doc_id, title, body in staged:
         title_tokens = tuple(codec.encode(title))
-        body_tokens = tuple(codec.encode(body_text))
+        body_tokens = tuple(codec.encode(body))
         for name, tokens in (("title", title_tokens), ("body", body_tokens)):
             if any(t < FIRST_ID for t in tokens):
                 raise IngestError(
@@ -329,7 +330,6 @@ def ingest_corpus(
                 title=title,
                 title_tokens=title_tokens,
                 body_tokens=body_tokens,
-                body_text=body_text,
             )
         )
 
@@ -374,48 +374,44 @@ def load_jsonl_corpus(path: str, codec: TokenCodec | None = None) -> Corpus:
 # -- persistence ------------------------------------------------------------
 
 
-def save_corpus(corpus: Corpus, path: str) -> None:
-    with open(path, "wb") as handle:
-        writer = Writer(handle)
-        writer.header(KIND_CORPUS)
-        writer.text(corpus.codec.kind)
-        writer.text(corpus.codec.policy)
-        surfaces = corpus.codec.surfaces()
-        writer.u64(len(surfaces))
-        for surface in surfaces:
-            writer.text(surface)
-        writer.u64(len(corpus.documents))
-        for doc in corpus.documents:
-            writer.text(doc.doc_id)
-            writer.text(doc.title)
-            writer.text(doc.body_text)
-            writer.u32_seq(doc.title_tokens)
-            writer.u32_seq(doc.body_tokens)
+def save_corpus(corpus: Corpus, handle: BinaryIO) -> None:
+    writer = Writer(handle)
+    writer.header(KIND_CORPUS)
+    writer.text(corpus.codec.kind)
+    writer.text(corpus.codec.policy)
+    surfaces = corpus.codec.surfaces()
+    writer.u64(len(surfaces))
+    for surface in surfaces:
+        writer.text(surface)
+    writer.u64(corpus.skipped_empty)
+    writer.u64(len(corpus.documents))
+    for doc in corpus.documents:
+        writer.text(doc.doc_id)
+        writer.text(doc.title)
+        writer.u32_seq(doc.title_tokens)
+        writer.u32_seq(doc.body_tokens)
 
 
-def load_corpus(path: str) -> Corpus:
-    with open(path, "rb") as handle:
-        reader = Reader(handle)
-        reader.header(KIND_CORPUS)
-        kind = reader.text()
-        policy = reader.text()
-        if kind not in _CODEC_KINDS:
-            raise IngestError(f"unknown codec kind {kind!r}")
-        surfaces = [reader.text() for _ in range(reader.u64())]
-        codec = _CODEC_KINDS[kind].from_vocab(surfaces)
-        if codec.policy != policy:
-            raise IngestError(
-                f"codec policy mismatch: file says {policy!r}, "
-                f"codec implements {codec.policy!r}"
-            )
-        documents = []
-        for _ in range(reader.u64()):
-            doc_id = reader.text()
-            title = reader.text()
-            body_text = reader.text()
-            title_tokens = tuple(reader.u32_seq())
-            body_tokens = tuple(reader.u32_seq())
-            documents.append(
-                Document(doc_id, title, title_tokens, body_tokens, body_text)
-            )
-    return Corpus(documents=documents, codec=codec)
+def load_corpus(handle: BinaryIO) -> Corpus:
+    reader = Reader(handle)
+    reader.header(KIND_CORPUS)
+    kind = reader.text()
+    policy = reader.text()
+    if kind not in _CODEC_KINDS:
+        raise IngestError(f"unknown codec kind {kind!r}")
+    surfaces = [reader.text() for _ in range(reader.u64())]
+    codec = _CODEC_KINDS[kind].from_vocab(surfaces)
+    if codec.policy != policy:
+        raise IngestError(
+            f"codec policy mismatch: file says {policy!r}, "
+            f"codec implements {codec.policy!r}"
+        )
+    skipped_empty = reader.u64()
+    documents = []
+    for _ in range(reader.u64()):
+        doc_id = reader.text()
+        title = reader.text()
+        title_tokens = tuple(reader.u32_seq())
+        body_tokens = tuple(reader.u32_seq())
+        documents.append(Document(doc_id, title, title_tokens, body_tokens))
+    return Corpus(documents=documents, codec=codec, skipped_empty=skipped_empty)

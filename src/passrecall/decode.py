@@ -12,6 +12,7 @@ log-probability of the content tokens alone.
 
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -174,7 +175,7 @@ def constrained_beam_search(
     for _ in range(config.max_len):
         if not live:
             break
-        # (cum_logprob, tokens, parent): only the kept ones get stepped.
+        # (-cum_logprob, tokens, parent): only the kept ones get stepped.
         candidates: list[tuple[float, tuple[int, ...], Hypothesis]] = []
         for hyp in live:
             allowed = hyp.constraint.allowed()
@@ -187,16 +188,18 @@ def constrained_beam_search(
                         finished.append(hyp)
                     continue
                 candidates.append(
-                    (hyp.cum_logprob + log_probs[token], hyp.tokens + (token,), hyp)
+                    (-(hyp.cum_logprob + log_probs[token]), hyp.tokens + (token,), hyp)
                 )
-        candidates.sort(key=lambda c: (-c[0], c[1]))
+        # Candidate token tuples are distinct, so ties never compare parents.
         live = [
             Hypothesis(
                 constraint=parent.constraint.step(tokens[-1]),
                 tokens=tokens,
-                cum_logprob=cum_logprob,
+                cum_logprob=-neg_logprob,
             )
-            for cum_logprob, tokens, parent in candidates[: config.beam_size]
+            for neg_logprob, tokens, parent in heapq.nsmallest(
+                config.beam_size, candidates
+            )
         ]
 
     finished.extend(

@@ -13,12 +13,12 @@ rows.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 from .corpus import FIRST_ID, SENTINEL_ID
 from .storage import KIND_FMINDEX, Reader, StorageError, Writer
 
-# The orientation byte every index file carries; only reversed indexes exist.
+# The orientation byte every index section carries; only reversed indexes exist.
 _REVERSED = 1
 
 
@@ -162,29 +162,27 @@ class BWTIndex:
         return sorted(shift - self.sa[row] for row in range(rng.lo, rng.hi))
 
 
-def save_index(index: BWTIndex, path: str) -> None:
-    with open(path, "wb") as handle:
-        writer = Writer(handle)
-        writer.header(KIND_FMINDEX)
-        writer.text(index.doc_id or "")
-        writer.u8(_REVERSED)
-        writer.u64(index.text_len)
-        writer.u32_seq(index.bwt)
-        writer.u32_seq(index.sa)
+def save_index(index: BWTIndex, handle: BinaryIO) -> None:
+    writer = Writer(handle)
+    writer.header(KIND_FMINDEX)
+    writer.text(index.doc_id or "")
+    writer.u8(_REVERSED)
+    writer.u64(index.text_len)
+    writer.u32_seq(index.bwt)
+    writer.u32_seq(index.sa)
 
 
-def load_index(path: str) -> BWTIndex:
-    with open(path, "rb") as handle:
-        reader = Reader(handle)
-        reader.header(KIND_FMINDEX)
-        doc_id = reader.text() or None
-        orientation = reader.u8()
-        if orientation != _REVERSED:
-            raise StorageError(
-                f"index file {path} has orientation byte {orientation}, "
-                f"not {_REVERSED} (reversed)"
-            )
-        text_len = reader.u64()
-        bwt = reader.u32_seq()
-        sa = reader.u32_seq()
+def load_index(handle: BinaryIO) -> BWTIndex:
+    reader = Reader(handle)
+    reader.header(KIND_FMINDEX)
+    doc_id = reader.text() or None
+    orientation = reader.u8()
+    if orientation != _REVERSED:
+        raise StorageError(
+            f"index of document {doc_id!r} has orientation byte "
+            f"{orientation}, not {_REVERSED} (reversed)"
+        )
+    text_len = reader.u64()
+    bwt = reader.u32_seq()
+    sa = reader.u32_seq()
     return BWTIndex(bwt=bwt, sa=sa, text_len=text_len, doc_id=doc_id)

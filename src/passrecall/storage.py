@@ -1,10 +1,12 @@
-"""Binary artifact files: versioned headers and length-prefixed fields.
+"""Binary artifact sections: versioned headers and length-prefixed fields.
 
-Every persisted artifact (corpus, trie, per-document index) shares one
-container format: magic bytes ``MREF``, a little-endian u32 format version,
-a 4-byte section kind, then kind-specific fields.  Variable-length fields
-carry 64-bit little-endian length prefixes.  Writers are fully
-deterministic: the same logical content always produces the same bytes.
+All artifacts live in one file written through one stream: the corpus
+section, the trie section, then one index section per document in corpus
+order.  Every section starts with magic bytes ``MREF``, a little-endian u32
+format version and a 4-byte section kind, then kind-specific fields.
+Variable-length fields carry 64-bit little-endian length prefixes.  Writers
+are fully deterministic: the same logical content always produces the same
+bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import struct
 from typing import BinaryIO, Sequence
 
 MAGIC = b"MREF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 KIND_CORPUS = b"CORP"
 KIND_TRIE = b"TRIE"
@@ -21,7 +23,7 @@ KIND_FMINDEX = b"FMIX"
 
 
 class StorageError(ValueError):
-    """Raised when an artifact file is malformed or has the wrong kind."""
+    """Raised when an artifact section is malformed or has the wrong kind."""
 
 
 class Writer:
@@ -63,7 +65,7 @@ class Reader:
     def header(self, expected_kind: bytes) -> None:
         magic = self._take(4)
         if magic != MAGIC:
-            raise StorageError(f"bad magic {magic!r}; not an artifact file")
+            raise StorageError(f"bad magic {magic!r}; not an artifact section")
         version = self.u32()
         if version != FORMAT_VERSION:
             raise StorageError(f"unsupported format version {version}")
@@ -76,7 +78,7 @@ class Reader:
     def _take(self, n: int) -> bytes:
         data = self._stream.read(n)
         if len(data) != n:
-            raise StorageError("truncated artifact file")
+            raise StorageError("truncated artifact section")
         return data
 
     def u8(self) -> int:

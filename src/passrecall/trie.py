@@ -8,7 +8,7 @@ id (0) shows up in the allowed set exactly at terminal nodes.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 from .corpus import END_ID, Corpus
 from .storage import KIND_TRIE, Reader, Writer
@@ -93,43 +93,41 @@ def build_trie(corpus: Corpus) -> TitleTrie:
     return trie
 
 
-def save_trie(trie: TitleTrie, path: str) -> None:
+def save_trie(trie: TitleTrie, handle: BinaryIO) -> None:
     """Nodes in pre-order, children by ascending token, each child after its
     token; an explicit stack keeps very long titles off the call stack."""
-    with open(path, "wb") as handle:
-        writer = Writer(handle)
-        writer.header(KIND_TRIE)
-        stack: list[tuple[int | None, TrieNode]] = [(None, trie.root)]
-        while stack:
-            token, node = stack.pop()
-            if token is not None:
-                writer.u32(token)
-            writer.u8(1 if node.doc_id is not None else 0)
-            if node.doc_id is not None:
-                writer.text(node.doc_id)
-            writer.u64(len(node.children))
-            for child_token in sorted(node.children, reverse=True):
-                stack.append((child_token, node.children[child_token]))
+    writer = Writer(handle)
+    writer.header(KIND_TRIE)
+    stack: list[tuple[int | None, TrieNode]] = [(None, trie.root)]
+    while stack:
+        token, node = stack.pop()
+        if token is not None:
+            writer.u32(token)
+        writer.u8(1 if node.doc_id is not None else 0)
+        if node.doc_id is not None:
+            writer.text(node.doc_id)
+        writer.u64(len(node.children))
+        for child_token in sorted(node.children, reverse=True):
+            stack.append((child_token, node.children[child_token]))
 
 
-def load_trie(path: str) -> TitleTrie:
+def load_trie(handle: BinaryIO) -> TitleTrie:
     trie = TitleTrie()
     trie.node_count = 0
-    with open(path, "rb") as handle:
-        reader = Reader(handle)
-        reader.header(KIND_TRIE)
-        trie.root, child_count = _read_node(reader, trie, 0)
-        # (node, children still to read, depth)
-        stack = [(trie.root, child_count, 0)]
-        while stack:
-            node, remaining, depth = stack.pop()
-            if not remaining:
-                continue
-            stack.append((node, remaining - 1, depth))
-            token = reader.u32()
-            child, child_count = _read_node(reader, trie, depth + 1)
-            node.children[token] = child
-            stack.append((child, child_count, depth + 1))
+    reader = Reader(handle)
+    reader.header(KIND_TRIE)
+    trie.root, child_count = _read_node(reader, trie, 0)
+    # (node, children still to read, depth)
+    stack = [(trie.root, child_count, 0)]
+    while stack:
+        node, remaining, depth = stack.pop()
+        if not remaining:
+            continue
+        stack.append((node, remaining - 1, depth))
+        token = reader.u32()
+        child, child_count = _read_node(reader, trie, depth + 1)
+        node.children[token] = child
+        stack.append((child, child_count, depth + 1))
     return trie
 
 

@@ -9,6 +9,7 @@ continuations.
 
 import contextlib
 import json
+import os
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -18,6 +19,15 @@ from passrecall.fmindex import BWTIndex
 from passrecall.pipeline import RecallConfig
 from passrecall.scorer import PromptTemplate
 from passrecall.trie import TitleTrie, build_trie
+
+
+def tree_files(root) -> list[str]:
+    """Every file under ``root``, as sorted paths relative to it."""
+    return sorted(
+        os.path.relpath(os.path.join(folder, name), root)
+        for folder, _, names in os.walk(root)
+        for name in names
+    )
 
 
 def plain_template() -> PromptTemplate:

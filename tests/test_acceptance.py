@@ -11,7 +11,6 @@ see them as they happen).
 import contextlib
 import filecmp
 import json
-import os
 import random
 import time
 
@@ -515,9 +514,8 @@ def test_criterion_11_reproducible_builds_and_runs(tmp_path):
                 ["build", "--corpus", str(corpus_path), "--out", str(out)]
             )
             assert code == 0
-        names = ["corpus.bin", "trie.bin", "manifest.json"] + sorted(
-            os.path.join("fm", n) for n in os.listdir(dirs[0] / "fm")
-        )
+        names = helpers.tree_files(dirs[0])
+        assert names and names == helpers.tree_files(dirs[1])
         match, mismatch, errors = filecmp.cmpfiles(
             dirs[0], dirs[1], names, shallow=False
         )

@@ -1,16 +1,20 @@
 import filecmp
+import hashlib
 import json
 import logging
 import os
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from passrecall.cli import main, run_recall_batch
 from passrecall.corpus import ingest_corpus
 from passrecall.pipeline import DeadEndError
 from passrecall.scorer import corpus_scorer
+from passrecall.storage import FORMAT_VERSION, MAGIC
 
 REFERENCE_KEYS = {
     "doc_id",
@@ -22,8 +26,8 @@ REFERENCE_KEYS = {
     "combined",
 }
 METADATA_KEYS = {
+    "artifact_digest",
     "config",
-    "corpus_digest",
     "document_count",
     "scorer",
     "strict_determinism",
@@ -120,25 +124,45 @@ def recall_code(index_dir, workspace):
     )
 
 
+def read_artifacts(index_dir):
+    with open(os.path.join(index_dir, "artifacts.bin"), "rb") as fh:
+        return bytearray(fh.read())
+
+
+def write_artifacts(index_dir, data):
+    """Replace artifacts.bin and record its digest, as a build would."""
+    with open(os.path.join(index_dir, "artifacts.bin"), "wb") as fh:
+        fh.write(data)
+    manifest_path = os.path.join(index_dir, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["artifact_digest"] = hashlib.sha256(data).hexdigest()
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+
+
+def section_starts(data, workspace):
+    """Offsets of the corpus, trie and per-document index sections."""
+    header = MAGIC + FORMAT_VERSION.to_bytes(4, "little")
+    starts = [0]
+    while len(starts) < 2 + len(workspace["corpus"].documents):
+        starts.append(data.index(header, starts[-1] + 1))
+    return starts
+
+
 def read_lines(path):
     with open(path, "r", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
 
 
 class TestBuild:
-    def test_creates_artifacts_and_manifest(self, workspace, capsys):
+    def test_creates_artifacts_and_manifest(self, workspace):
         index_dir = workspace["index_dir"]
-        assert os.path.isfile(os.path.join(index_dir, "corpus.bin"))
-        assert os.path.isfile(os.path.join(index_dir, "trie.bin"))
+        assert helpers.tree_files(index_dir) == ["artifacts.bin", "manifest.json"]
         with open(os.path.join(index_dir, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
-        assert manifest["document_count"] == 6
-        assert manifest["format_version"] == 1
-        assert len(manifest["index_files"]) == 6
-        for rel in manifest["index_files"].values():
-            assert os.path.isfile(os.path.join(index_dir, rel))
-        assert manifest["skipped_empty"] == 0
-        assert len(manifest["corpus_digest"]) == 64
+        digest = hashlib.sha256(read_artifacts(index_dir)).hexdigest()
+        assert manifest == {"artifact_digest": digest, "format_version": 2}
 
     def test_build_reports_counts(self, workspace, tmp_path, capsys):
         out = tmp_path / "again"
@@ -147,7 +171,7 @@ class TestBuild:
         ) == 0
         printed = capsys.readouterr().out
         assert "documents: 6" in printed
-        assert "index bytes:" in printed
+        assert "artifact bytes:" in printed
 
     def test_rebuild_is_byte_identical(self, workspace, tmp_path):
         first = tmp_path / "one"
@@ -156,9 +180,8 @@ class TestBuild:
             assert run_cli(
                 ["build", "--corpus", workspace["corpus_path"], "--out", str(out)]
             ) == 0
-        names = ["corpus.bin", "trie.bin", "manifest.json"] + sorted(
-            os.path.join("fm", n) for n in os.listdir(first / "fm")
-        )
+        names = helpers.tree_files(first)
+        assert names and names == helpers.tree_files(second)
         match, mismatch, errors = filecmp.cmpfiles(
             first, second, names, shallow=False
         )
@@ -170,6 +193,71 @@ class TestBuild:
             ["build", "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+
+BAD_UTF8 = b"\xff\xfe not utf-8\n"
+
+
+def _non_utf8_manifest(workspace, tmp_path):
+    index_dir = copy_artifacts(workspace, tmp_path)
+    with open(os.path.join(index_dir, "manifest.json"), "wb") as fh:
+        fh.write(BAD_UTF8)
+    return ["recall", "--index-dir", index_dir, "--queries", workspace["queries_path"]]
+
+
+def _non_utf8_queries(workspace, tmp_path):
+    (tmp_path / "queries.txt").write_bytes(BAD_UTF8)
+    return ["recall", "--index-dir", workspace["index_dir"],
+            "--queries", str(tmp_path / "queries.txt")]
+
+
+def _non_utf8_corpus(workspace, tmp_path):
+    (tmp_path / "corpus.jsonl").write_bytes(BAD_UTF8)
+    return ["build", "--corpus", str(tmp_path / "corpus.jsonl"),
+            "--out", str(tmp_path / "out")]
+
+
+def _non_utf8_gold(workspace, tmp_path):
+    (tmp_path / "recall.jsonl").write_text('{"metadata": {}}\n', encoding="utf-8")
+    (tmp_path / "gold.jsonl").write_bytes(BAD_UTF8)
+    return ["evaluate", "--recall-output", str(tmp_path / "recall.jsonl"),
+            "--gold", str(tmp_path / "gold.jsonl")]
+
+
+def _non_utf8_config(workspace, tmp_path):
+    (tmp_path / "conf.json").write_bytes(BAD_UTF8)
+    return ["recall", "--index-dir", workspace["index_dir"],
+            "--queries", workspace["queries_path"],
+            "--config", str(tmp_path / "conf.json")]
+
+
+def _queries_is_a_directory(workspace, tmp_path):
+    return ["recall", "--index-dir", workspace["index_dir"],
+            "--queries", str(tmp_path)]
+
+
+def _output_in_missing_directory(workspace, tmp_path):
+    return ["recall", "--index-dir", workspace["index_dir"],
+            "--queries", workspace["queries_path"],
+            "--output", str(tmp_path / "missing" / "out.jsonl")]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        _non_utf8_manifest,
+        _non_utf8_queries,
+        _non_utf8_corpus,
+        _non_utf8_gold,
+        _non_utf8_config,
+        _queries_is_a_directory,
+        _output_in_missing_directory,
+    ],
+    ids=lambda make_argv: make_argv.__name__.strip("_").replace("_", "-"),
+)
+def test_unreadable_input_is_a_data_error(workspace, tmp_path, capsys, make_argv):
+    assert run_cli(make_argv(workspace, tmp_path)) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestRecall:
@@ -281,19 +369,17 @@ class TestRecall:
         "edit",
         [
             lambda m: ["not", "an", "object"],
-            lambda m: {k: v for k, v in m.items() if k != "corpus_file"},
-            lambda m: {k: v for k, v in m.items() if k != "trie_file"},
-            lambda m: {**m, "index_files": ["fm/000000.bin"]},
-            lambda m: {k: v for k, v in m.items() if k != "corpus_digest"},
-            lambda m: {**m, "trie_digest": 7},
+            lambda m: {k: v for k, v in m.items() if k != "artifact_digest"},
+            lambda m: {**m, "artifact_digest": 7},
+            lambda m: {k: v for k, v in m.items() if k != "format_version"},
+            lambda m: {**m, "format_version": 1},
         ],
         ids=[
             "not-object",
-            "no-corpus-file",
-            "no-trie-file",
-            "index-files-list",
-            "no-corpus-digest",
-            "int-trie-digest",
+            "no-artifact-digest",
+            "int-artifact-digest",
+            "no-format-version",
+            "format-version-1",
         ],
     )
     def test_malformed_manifest_is_a_data_error(self, workspace, tmp_path, edit):
@@ -305,28 +391,28 @@ class TestRecall:
             json.dump(edit(manifest), fh)
         assert recall_code(index_dir, workspace) == 2
 
-    @pytest.mark.parametrize("name", ["corpus.bin", "trie.bin"])
+    @pytest.mark.parametrize("name", ["artifacts.bin", "manifest.json"])
     def test_missing_artifact_file_is_a_data_error(self, workspace, tmp_path, name):
         index_dir = copy_artifacts(workspace, tmp_path)
         os.remove(os.path.join(index_dir, name))
         assert recall_code(index_dir, workspace) == 2
 
     def test_swapped_index_files_are_a_data_error(self, workspace, tmp_path):
+        # Two index sections trade places under a digest that matches.
         index_dir = copy_artifacts(workspace, tmp_path)
-        first = os.path.join(index_dir, "fm", "000000.bin")
-        second = os.path.join(index_dir, "fm", "000001.bin")
-        os.rename(first, first + ".tmp")
-        os.rename(second, first)
-        os.rename(first + ".tmp", second)
+        data = read_artifacts(index_dir)
+        _, _, first, second, third, *_ = section_starts(data, workspace)
+        data[first:third] = data[second:third] + data[first:second]
+        write_artifacts(index_dir, data)
         assert recall_code(index_dir, workspace) == 2
 
-    @pytest.mark.parametrize("name", ["corpus.bin", "trie.bin"])
-    def test_changed_byte_fails_the_digest(self, workspace, tmp_path, caplog, name):
+    @pytest.mark.parametrize("section", [0, 1, 2], ids=["corpus", "trie", "index"])
+    def test_changed_byte_fails_the_digest(self, workspace, tmp_path, caplog, section):
         index_dir = copy_artifacts(workspace, tmp_path)
-        path = os.path.join(index_dir, name)
-        data = bytearray(open(path, "rb").read())
-        data[len(data) // 2] ^= 0x01
-        with open(path, "wb") as fh:
+        data = read_artifacts(index_dir)
+        start, end = section_starts(data, workspace)[section : section + 2]
+        data[(start + end) // 2] ^= 0x01
+        with open(os.path.join(index_dir, "artifacts.bin"), "wb") as fh:
             fh.write(data)
         with caplog.at_level(logging.ERROR, logger="passrecall.cli"):
             assert recall_code(index_dir, workspace) == 2
@@ -334,20 +420,43 @@ class TestRecall:
 
     def test_wrong_orientation_byte_is_a_data_error(self, workspace, tmp_path, caplog):
         index_dir = copy_artifacts(workspace, tmp_path)
-        with open(os.path.join(index_dir, "manifest.json"), encoding="utf-8") as fh:
-            index_files = json.load(fh)["index_files"]
-        for doc_id, rel in index_files.items():
-            path = os.path.join(index_dir, rel)
-            data = bytearray(open(path, "rb").read())
+        data = read_artifacts(index_dir)
+        starts = section_starts(data, workspace)[2:]
+        for start, doc in zip(starts, workspace["corpus"].documents):
             # The 12-byte header, then the doc id as a u64 length and bytes.
-            offset = 12 + 8 + len(doc_id.encode("utf-8"))
+            offset = start + 12 + 8 + len(doc.doc_id.encode("utf-8"))
             assert data[offset] == 1
             data[offset] = 0
-            with open(path, "wb") as fh:
-                fh.write(data)
+        # A matching digest lets the load reach the orientation check.
+        write_artifacts(index_dir, data)
         with caplog.at_level(logging.ERROR, logger="passrecall.cli"):
             assert recall_code(index_dir, workspace) == 2
         assert any("orientation" in message for message in caplog.messages)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_flipped_bit_or_truncation_never_loads(self, workspace, tmp_path, data):
+        originals = {}
+        for name in helpers.tree_files(workspace["index_dir"]):
+            with open(os.path.join(workspace["index_dir"], name), "rb") as fh:
+                originals[name] = fh.read()
+        name = data.draw(st.sampled_from(sorted(originals)), label="file")
+        blob = bytearray(originals[name])
+        if data.draw(st.booleans(), label="flip"):
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            blob[bit // 8] ^= 1 << (bit % 8)
+        else:
+            del blob[data.draw(st.integers(0, len(blob) - 1), label="length") :]
+        index_dir = tmp_path / "artifacts"
+        for other, content in {**originals, name: bytes(blob)}.items():
+            os.makedirs(os.path.dirname(index_dir / other), exist_ok=True)
+            (index_dir / other).write_bytes(content)
+        assert recall_code(str(index_dir), workspace) in (2, 3)
 
     def test_out_of_range_alpha_is_a_data_error(self, workspace, tmp_path):
         code = run_cli(

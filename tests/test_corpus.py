@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 
@@ -121,7 +122,8 @@ class TestIngest:
 
     def test_fragments_join_with_single_space(self):
         corpus = ingest_corpus(self.records())
-        assert corpus.document("d1").body_text == "alpha beta gamma delta"
+        body = corpus.document("d1").body_tokens
+        assert corpus.codec.decode(body) == "alpha beta gamma delta"
 
     def test_titles_are_normalized(self):
         records = [{"id": "d1", "title": "  Messy   Title ", "text": ["body here"]}]
@@ -204,26 +206,40 @@ class TestJsonl:
 
 
 class TestPersistence:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self):
         corpus = ingest_corpus(
             [
                 {"id": "d1", "title": "Alpha", "text": ["one two three"]},
                 {"id": "d2", "title": "Beta", "text": ["four five six"]},
             ]
         )
-        path = str(tmp_path / "corpus.bin")
-        save_corpus(corpus, path)
-        loaded = load_corpus(path)
+        buf = io.BytesIO()
+        save_corpus(corpus, buf)
+        buf.seek(0)
+        loaded = load_corpus(buf)
         assert [d.doc_id for d in loaded.documents] == ["d1", "d2"]
         assert loaded.document("d1").body_tokens == corpus.document("d1").body_tokens
         assert loaded.codec.surfaces() == corpus.codec.surfaces()
         assert loaded.codec.vocab_hash() == corpus.codec.vocab_hash()
 
-    def test_save_is_deterministic(self, tmp_path):
+    def test_skipped_empty_survives_roundtrip(self):
+        corpus = ingest_corpus(
+            [
+                {"id": "d1", "title": "Alpha", "text": ["one two three"]},
+                {"id": "d2", "title": "Empty", "text": ["  "]},
+            ]
+        )
+        assert corpus.skipped_empty == 1
+        buf = io.BytesIO()
+        save_corpus(corpus, buf)
+        buf.seek(0)
+        assert load_corpus(buf).skipped_empty == 1
+
+    def test_save_is_deterministic(self):
         corpus = ingest_corpus(
             [{"id": "d1", "title": "Alpha", "text": ["one two three"]}]
         )
-        a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+        a, b = io.BytesIO(), io.BytesIO()
         save_corpus(corpus, a)
         save_corpus(corpus, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert a.getvalue() == b.getvalue()

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import random
 
 import pytest
@@ -187,31 +188,31 @@ class TestSubstringConstraint:
 
 
 class TestPersistence:
-    def test_roundtrip_behavior(self, tmp_path):
+    def test_roundtrip_behavior(self):
         text = [5, 3, 4, 3, 5, 5, 4]
         index = BWTIndex.build(text, doc_id="doc-9")
-        path = str(tmp_path / "doc.bin")
-        save_index(index, path)
-        loaded = load_index(path)
+        buf = io.BytesIO()
+        save_index(index, buf)
+        buf.seek(0)
+        loaded = load_index(buf)
         assert loaded.doc_id == "doc-9"
         assert loaded.text_len == len(text)
         assert loaded.bwt == index.bwt
         assert loaded.locate_all([3, 5]) == index.locate_all([3, 5])
         assert loaded.range_successors(loaded.full_range()) == set(text)
 
-    def test_save_is_deterministic(self, tmp_path):
+    def test_save_is_deterministic(self):
         index = BWTIndex.build([4, 4, 3, 5], doc_id="doc-1")
-        a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+        a, b = io.BytesIO(), io.BytesIO()
         save_index(index, a)
         save_index(index, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert a.getvalue() == b.getvalue()
 
-    def test_bytes_of_synthetic_fixture_unchanged(self, tmp_path):
+    def test_bytes_of_synthetic_fixture_unchanged(self):
         doc = helpers.synthetic_corpus().documents[0]
-        path = str(tmp_path / "doc.bin")
-        save_index(BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id), path)
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+        buf = io.BytesIO()
+        save_index(BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id), buf)
+        digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == (
-            "86fe5b51a41fbbdbdfbdc2d84008404d07e1654405c3017668abc59487d13120"
+            "bb72c0826b5430f454a35974db8a64a6935bf4dfa0672b8635949538b4ee9cba"
         )

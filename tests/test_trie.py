@@ -1,4 +1,5 @@
 import hashlib
+import io
 import random
 
 import pytest
@@ -7,6 +8,13 @@ import helpers
 import oracles
 from passrecall.corpus import END_ID, ingest_corpus
 from passrecall.trie import TitleTrie, build_trie, load_trie, save_trie
+
+
+def roundtrip(trie):
+    buf = io.BytesIO()
+    save_trie(trie, buf)
+    buf.seek(0)
+    return load_trie(buf)
 
 
 def trie_from(titles):
@@ -106,11 +114,9 @@ class TestBuildFromCorpus:
 
 
 class TestPersistence:
-    def test_roundtrip_preserves_structure(self, tmp_path):
+    def test_roundtrip_preserves_structure(self):
         trie = trie_from([(3, 4, 5), (3, 6), (7,)])
-        path = str(tmp_path / "trie.bin")
-        save_trie(trie, path)
-        loaded = load_trie(path)
+        loaded = roundtrip(trie)
         assert loaded.node_count == trie.node_count
         assert loaded.terminal_count == trie.terminal_count
         assert loaded.max_depth == trie.max_depth
@@ -118,28 +124,25 @@ class TestPersistence:
         assert loaded.resolve_title((3, 4, 5)) == "doc-0"
         assert loaded.resolve_title((7,)) == "doc-2"
 
-    def test_save_is_deterministic(self, tmp_path):
+    def test_save_is_deterministic(self):
         trie = trie_from([(5, 6), (3,), (9, 4, 4)])
-        a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+        a, b = io.BytesIO(), io.BytesIO()
         save_trie(trie, a)
         save_trie(trie, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert a.getvalue() == b.getvalue()
 
-    def test_bytes_of_synthetic_fixture_unchanged(self, tmp_path):
-        path = str(tmp_path / "trie.bin")
-        save_trie(build_trie(helpers.synthetic_corpus()), path)
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+    def test_bytes_of_synthetic_fixture_unchanged(self):
+        buf = io.BytesIO()
+        save_trie(build_trie(helpers.synthetic_corpus()), buf)
+        digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == (
-            "7167aa8ec82a9a528a280ee3b9ab470928fbe894db31f189df02e623327d5f90"
+            "2fcc640a671e1993ac4f6c53f7d1a100bbf11d5120394c691db258c2ccea435b"
         )
 
-    def test_very_long_title_roundtrips(self, tmp_path):
+    def test_very_long_title_roundtrips(self):
         title = tuple(3 + i % 7 for i in range(5000))
         trie = trie_from([title, title[:3]])
-        path = str(tmp_path / "trie.bin")
-        save_trie(trie, path)
-        loaded = load_trie(path)
+        loaded = roundtrip(trie)
         assert loaded.node_count == trie.node_count == 5001
         assert loaded.terminal_count == 2
         assert loaded.max_depth == 5000
