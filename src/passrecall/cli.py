@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 usage, 2 data error (unreadable, undecodable or
 malformed inputs, missing or tampered artifacts, unreachable endpoint),
 3 internal inconsistency (index and text disagree, which means a bug, not
 bad data).
+
+``load_artifacts`` checks the manifest's digest, each index section against
+its document, and the title trie against the corpus's titles.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class Artifacts:
 
 
 def load_artifacts(index_dir: str) -> Artifacts:
-    """Check the manifest's version and digest, then read every section."""
+    """Check the manifest, then read and cross-check every section."""
     with open(os.path.join(index_dir, MANIFEST_NAME), encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -144,16 +147,12 @@ def load_artifacts(index_dir: str) -> Artifacts:
         handle.seek(0)
         corpus = load_corpus(handle)
         trie = load_trie(handle)
-        indexes: dict[str, BWTIndex] = {}
-        for doc in corpus.documents:
-            index = load_index(handle)
-            if index.doc_id != doc.doc_id or index.text_len != len(doc.body_tokens):
-                raise DataError(
-                    f"index section holds document {index.doc_id!r} of "
-                    f"{index.text_len} tokens, not {doc.doc_id!r} of "
-                    f"{len(doc.body_tokens)}"
-                )
-            indexes[doc.doc_id] = index
+        indexes = {doc.doc_id: load_index(handle, doc) for doc in corpus.documents}
+    if trie.terminal_count != len(corpus.documents) or any(
+        trie.resolve_title(doc.title_tokens) != doc.doc_id
+        for doc in corpus.documents
+    ):
+        raise DataError("the title trie does not spell the corpus's titles")
     return Artifacts(corpus=corpus, trie=trie, indexes=indexes, digest=digest)
 
 
@@ -214,10 +213,8 @@ def _build_config(args: argparse.Namespace) -> RecallConfig:
 
 def _make_scorer(args: argparse.Namespace, artifacts: Artifacts):
     if args.scorer == "ngram":
-        return corpus_scorer(artifacts.corpus, order=args.ngram_order), {
-            "type": "ngram",
-            "order": args.ngram_order,
-        }
+        scorer = corpus_scorer(artifacts.corpus)
+        return scorer, {"type": "ngram", "order": scorer.order}
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise DataError(
@@ -435,7 +432,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     scorer.add_argument(
         "--scorer", choices=("ngram", "remote"), default="ngram"
     )
-    scorer.add_argument("--ngram-order", dest="ngram_order", type=int, default=3)
     scorer.add_argument(
         "--endpoint",
         default=None,

@@ -7,19 +7,18 @@ prefix is one backward-extension step, while patterns and positions stay in
 the body's own left-to-right coordinates.  Backward extension is a pair of
 rank queries answered by binary search over per-symbol occurrence lists;
 the tokens that can follow a prefix are the distinct symbols in its BWT
-rows.
+rows.  An index section stores only the document id and the suffix array;
+``load_index`` rebuilds the BWT and rank tables from it and the body tokens.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from typing import BinaryIO, NamedTuple, Sequence
 
-from .corpus import FIRST_ID, SENTINEL_ID
+from .corpus import FIRST_ID, SENTINEL_ID, Document
 from .storage import KIND_FMINDEX, Reader, StorageError, Writer
-
-# The orientation byte every index section carries; only reversed indexes exist.
-_REVERSED = 1
 
 
 def build_suffix_array(tokens: Sequence[int]) -> list[int]:
@@ -57,7 +56,8 @@ def build_suffix_array(tokens: Sequence[int]) -> list[int]:
 
 def bwt_from_sa(tokens: Sequence[int], sa: Sequence[int]) -> list[int]:
     """Last column of the sorted rotations: text[sa[i]-1], sentinel at sa[i]=0."""
-    return [tokens[pos - 1] if pos > 0 else SENTINEL_ID for pos in sa]
+    last = [SENTINEL_ID, *tokens]  # last[pos] == text[pos - 1]
+    return list(map(last.__getitem__, sa))
 
 
 class SearchRange(NamedTuple):
@@ -86,37 +86,28 @@ class BWTIndex:
     """
 
     def __init__(
-        self,
-        bwt: Sequence[int],
-        sa: Sequence[int],
-        text_len: int,
-        doc_id: str | None = None,
+        self, tokens: Sequence[int], sa: Sequence[int], doc_id: str | None = None
     ):
-        self.bwt = list(bwt)
-        self.sa = list(sa)
-        self.text_len = text_len
+        """``sa`` is the suffix array of ``tokens`` reversed."""
+        self.bwt = bwt_from_sa(tokens[::-1], sa)
+        self.sa = sa
+        self.text_len = len(tokens)
         self.doc_id = doc_id
-        counts: dict[int, int] = {}
-        occ: dict[int, list[int]] = {}
+        occ: dict[int, list[int]] = defaultdict(list)
         for row, symbol in enumerate(self.bwt):
-            counts[symbol] = counts.get(symbol, 0) + 1
-            occ.setdefault(symbol, []).append(row)
-        self.occ = occ
+            occ[symbol].append(row)
+        self.occ = dict(occ)
         self.c_table = {}
         running = 0
-        for symbol in sorted(counts):
+        for symbol in sorted(occ):
             self.c_table[symbol] = running
-            running += counts[symbol]
+            running += len(occ[symbol])
 
     @classmethod
     def build(cls, tokens: Sequence[int], doc_id: str | None = None) -> "BWTIndex":
         if any(t < FIRST_ID for t in tokens):
             raise ValueError("document tokens may not contain reserved ids")
-        indexed = list(reversed(tokens))
-        sa = build_suffix_array(indexed)
-        return cls(
-            bwt=bwt_from_sa(indexed, sa), sa=sa, text_len=len(tokens), doc_id=doc_id
-        )
+        return cls(tokens, build_suffix_array(tokens[::-1]), doc_id)
 
     def full_range(self) -> SearchRange:
         return SearchRange(0, len(self.bwt))
@@ -166,23 +157,21 @@ def save_index(index: BWTIndex, handle: BinaryIO) -> None:
     writer = Writer(handle)
     writer.header(KIND_FMINDEX)
     writer.text(index.doc_id or "")
-    writer.u8(_REVERSED)
-    writer.u64(index.text_len)
-    writer.u32_seq(index.bwt)
     writer.u32_seq(index.sa)
 
 
-def load_index(handle: BinaryIO) -> BWTIndex:
+def load_index(handle: BinaryIO, doc: Document) -> BWTIndex:
+    """Read the index section of ``doc`` and rebuild its BWT from its body."""
     reader = Reader(handle)
     reader.header(KIND_FMINDEX)
-    doc_id = reader.text() or None
-    orientation = reader.u8()
-    if orientation != _REVERSED:
-        raise StorageError(
-            f"index of document {doc_id!r} has orientation byte "
-            f"{orientation}, not {_REVERSED} (reversed)"
-        )
-    text_len = reader.u64()
-    bwt = reader.u32_seq()
+    doc_id = reader.text()
     sa = reader.u32_seq()
-    return BWTIndex(bwt=bwt, sa=sa, text_len=text_len, doc_id=doc_id)
+    rows = len(doc.body_tokens) + 1
+    # n+1 distinct entries, none above n, are exactly 0..n.
+    is_permutation = len(sa) == rows and max(sa) < rows and len(set(sa)) == rows
+    if doc_id != doc.doc_id or not is_permutation:
+        raise StorageError(
+            f"index section of {doc_id!r} does not hold a suffix array over "
+            f"the {len(doc.body_tokens)} body tokens of document {doc.doc_id!r}"
+        )
+    return BWTIndex(doc.body_tokens, sa, doc_id)

@@ -128,8 +128,8 @@ class NGramScorer:
         }
 
 
-def corpus_scorer(corpus: Corpus, order: int = 3) -> NGramScorer:
-    """Train an ``NGramScorer`` on a corpus.
+def corpus_scorer(corpus: Corpus) -> NGramScorer:
+    """Train an order-3 ``NGramScorer`` on a corpus.
 
     Four stream families: each body (so in-document continuations score
     well), each title (so titles terminate cleanly), a bridge from every
@@ -138,7 +138,7 @@ def corpus_scorer(corpus: Corpus, order: int = 3) -> NGramScorer:
     document's title during constrained decoding; the echo does the same
     for a query that is itself a title string.
     """
-    scorer = NGramScorer(order=order)
+    scorer = NGramScorer()
     for doc in corpus.documents:
         scorer.add_stream(list(doc.body_tokens) + [END_ID])
         scorer.add_stream(list(doc.title_tokens) + [END_ID])

@@ -1,21 +1,23 @@
 """Binary artifact sections: versioned headers and length-prefixed fields.
 
 All artifacts live in one file written through one stream: the corpus
-section, the trie section, then one index section per document in corpus
-order.  Every section starts with magic bytes ``MREF``, a little-endian u32
-format version and a 4-byte section kind, then kind-specific fields.
-Variable-length fields carry 64-bit little-endian length prefixes.  Writers
-are fully deterministic: the same logical content always produces the same
-bytes.
+section, the trie section, then one index section (document id and suffix
+array) per document in corpus order.  Every section starts with magic bytes
+``MREF``, a little-endian u32 format version and a 4-byte section kind, then
+kind-specific fields.  Variable-length fields carry 64-bit little-endian
+length prefixes, checked against the bytes left before they are read.
+Writers are fully deterministic: the same logical content always produces
+the same bytes.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import BinaryIO, Sequence
 
 MAGIC = b"MREF"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 KIND_CORPUS = b"CORP"
 KIND_TRIE = b"TRIE"
@@ -61,6 +63,9 @@ class Writer:
 class Reader:
     def __init__(self, stream: BinaryIO):
         self._stream = stream
+        position = stream.tell()
+        self._left = stream.seek(0, io.SEEK_END) - position
+        stream.seek(position)
 
     def header(self, expected_kind: bytes) -> None:
         magic = self._take(4)
@@ -76,9 +81,14 @@ class Reader:
             )
 
     def _take(self, n: int) -> bytes:
+        if n > self._left:
+            raise StorageError(
+                f"truncated artifact section: {n} bytes wanted, {self._left} left"
+            )
         data = self._stream.read(n)
         if len(data) != n:
             raise StorageError("truncated artifact section")
+        self._left -= n
         return data
 
     def u8(self) -> int:

@@ -162,7 +162,7 @@ class TestBuild:
         with open(os.path.join(index_dir, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
         digest = hashlib.sha256(read_artifacts(index_dir)).hexdigest()
-        assert manifest == {"artifact_digest": digest, "format_version": 2}
+        assert manifest == {"artifact_digest": digest, "format_version": 3}
 
     def test_build_reports_counts(self, workspace, tmp_path, capsys):
         out = tmp_path / "again"
@@ -373,6 +373,7 @@ class TestRecall:
             lambda m: {**m, "artifact_digest": 7},
             lambda m: {k: v for k, v in m.items() if k != "format_version"},
             lambda m: {**m, "format_version": 1},
+            lambda m: {**m, "format_version": 2},
         ],
         ids=[
             "not-object",
@@ -380,6 +381,7 @@ class TestRecall:
             "int-artifact-digest",
             "no-format-version",
             "format-version-1",
+            "format-version-2",
         ],
     )
     def test_malformed_manifest_is_a_data_error(self, workspace, tmp_path, edit):
@@ -418,20 +420,65 @@ class TestRecall:
             assert recall_code(index_dir, workspace) == 2
         assert any("digest" in message for message in caplog.messages)
 
-    def test_wrong_orientation_byte_is_a_data_error(self, workspace, tmp_path, caplog):
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda sa: [len(sa) + 4 if p == 0 else p for p in sa],
+            lambda sa: [sa[1]] + sa[1:],
+            lambda sa: [p for p in sa if p != len(sa) - 1],
+            lambda sa: sa + [len(sa)],
+        ],
+        ids=["entry-above-n", "duplicated-entry", "one-too-few", "one-too-many"],
+    )
+    def test_suffix_array_not_a_permutation_is_a_data_error(
+        self, workspace, tmp_path, capsys, edit
+    ):
         index_dir = copy_artifacts(workspace, tmp_path)
         data = read_artifacts(index_dir)
-        starts = section_starts(data, workspace)[2:]
-        for start, doc in zip(starts, workspace["corpus"].documents):
-            # The 12-byte header, then the doc id as a u64 length and bytes.
-            offset = start + 12 + 8 + len(doc.doc_id.encode("utf-8"))
-            assert data[offset] == 1
-            data[offset] = 0
-        # A matching digest lets the load reach the orientation check.
+        start, end = section_starts(data, workspace)[2:4]
+        # The 12-byte header, the doc id as a u64 length and bytes, then the
+        # suffix array as a u64 count and u32 entries.
+        id_len = int.from_bytes(data[start + 12 : start + 20], "little")
+        offset = start + 20 + id_len
+        count = int.from_bytes(data[offset : offset + 8], "little")
+        sa = [
+            int.from_bytes(data[i : i + 4], "little")
+            for i in range(offset + 8, offset + 8 + 4 * count, 4)
+        ]
+        assert sorted(sa) == list(range(count)) and offset + 8 + 4 * count == end
+        sa = edit(sa)
+        data[offset:end] = len(sa).to_bytes(8, "little") + b"".join(
+            p.to_bytes(4, "little") for p in sa
+        )
+        # A matching digest lets the load reach the suffix-array check.
         write_artifacts(index_dir, data)
-        with caplog.at_level(logging.ERROR, logger="passrecall.cli"):
-            assert recall_code(index_dir, workspace) == 2
-        assert any("orientation" in message for message in caplog.messages)
+        assert recall_code(index_dir, workspace) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_trie_naming_an_absent_document_is_a_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        index_dir = copy_artifacts(workspace, tmp_path)
+        data = read_artifacts(index_dir)
+        start, end = section_starts(data, workspace)[1:3]
+        trie = data[start:end]
+        for doc in workspace["corpus"].documents:
+            name = doc.doc_id.encode("utf-8")
+            assert trie.count(name) == 1
+            trie = trie.replace(name, b"Z" * len(name))
+        data[start:end] = trie
+        write_artifacts(index_dir, data)
+        assert recall_code(index_dir, workspace) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_huge_length_prefix_is_a_data_error(self, workspace, tmp_path, capsys):
+        index_dir = copy_artifacts(workspace, tmp_path)
+        data = read_artifacts(index_dir)
+        # The corpus section's first field, the codec kind, after its header.
+        data[12:20] = (2**62).to_bytes(8, "little")
+        write_artifacts(index_dir, data)
+        assert recall_code(index_dir, workspace) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     @settings(
         max_examples=300,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
-from passrecall.corpus import END_ID, SENTINEL_ID
+from passrecall.corpus import END_ID, SENTINEL_ID, Document
 from passrecall.decode import SubstringConstraint
 from passrecall.fmindex import (
     BWTIndex,
@@ -194,10 +194,10 @@ class TestPersistence:
         buf = io.BytesIO()
         save_index(index, buf)
         buf.seek(0)
-        loaded = load_index(buf)
+        loaded = load_index(buf, Document("doc-9", "t", (3,), tuple(text)))
         assert loaded.doc_id == "doc-9"
         assert loaded.text_len == len(text)
-        assert loaded.bwt == index.bwt
+        assert loaded.sa == index.sa and loaded.bwt == index.bwt
         assert loaded.locate_all([3, 5]) == index.locate_all([3, 5])
         assert loaded.range_successors(loaded.full_range()) == set(text)
 
@@ -214,5 +214,5 @@ class TestPersistence:
         save_index(BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id), buf)
         digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == (
-            "bb72c0826b5430f454a35974db8a64a6935bf4dfa0672b8635949538b4ee9cba"
+            "bef154f7454cd43950fc183fd70694ba93267486d3245551e141446c8778c30b"
         )

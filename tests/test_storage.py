@@ -85,6 +85,16 @@ def test_truncation_detected():
         r.text()
 
 
+@pytest.mark.parametrize("field", ["raw", "u32_seq"])
+def test_length_beyond_the_stream_rejected_before_reading(tmp_path, field):
+    # Reading 2**62 bytes from a file raises MemoryError, so the length
+    # prefix must be checked first.
+    path = tmp_path / "section"
+    path.write_bytes((2**62).to_bytes(8, "little") + b"\x00" * 16)
+    with open(path, "rb") as fh, pytest.raises(StorageError, match="truncated"):
+        getattr(Reader(fh), field)()
+
+
 def test_writes_are_deterministic():
     def produce() -> bytes:
         buf = io.BytesIO()

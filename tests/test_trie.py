@@ -136,7 +136,7 @@ class TestPersistence:
         save_trie(build_trie(helpers.synthetic_corpus()), buf)
         digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == (
-            "2fcc640a671e1993ac4f6c53f7d1a100bbf11d5120394c691db258c2ccea435b"
+            "c51e001402b404f4a4202a3a5fb031749ff76ebe5df538c18b1086cb3f2bf772"
         )
 
     def test_very_long_title_roundtrips(self):
