@@ -197,6 +197,12 @@ def _build_config(args: argparse.Namespace) -> RecallConfig:
         settings["stage1_template"] = args.stage1_template
     if args.stage2_template is not None:
         settings["stage2_template"] = args.stage2_template
+    if task is None and args.scorer == "ngram":
+        # The order-3 scorer sees only a prompt's last two tokens, and every
+        # packaged template ends in the same words, so with those it would
+        # score every query alike.  The bare query is what it can use.
+        settings.setdefault("stage1_template", "{}")
+        settings.setdefault("stage2_template", "{}")
     if "stage1_template" in settings:
         settings["stage1_template"] = PromptTemplate(
             settings["stage1_template"], STAGE_ONE

@@ -4,16 +4,23 @@ Every decoder in this package talks to a scorer through one contract:
 given a token context and a nonempty candidate set, return a log-probability
 per candidate.  ``NGramScorer`` is the deterministic in-process stand-in;
 ``RemoteScorer`` forwards the same calls to an HTTP endpoint that fronts a
-real model.  Both normalize within the candidate set only, since constrained
-decoding never compares across different allowed sets.
+real model.  ``NGramScorer`` normalizes within the candidate set only.  That
+is a known defect: the beam ranks children of different parents together,
+so values normalized over different allowed sets are compared, and a token
+forced by a one-element set scores 0 whatever the context (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress, islice, repeat
+from operator import and_, lshift, ne, or_, rshift
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import requests
@@ -85,32 +92,55 @@ class TokenScorer(Protocol):
         ...
 
 
+_MASK = (1 << 32) - 1  # one token of a packed n-gram key
+
+
 class NGramScorer:
-    """Count-based n-gram scorer, deterministic and immutable once trained.
+    """Count-based n-gram scorer of order 1 to 3, deterministic once trained.
 
     Counts are kept for every context length from 0 to order-1, so short
     contexts are first-class rather than a backoff special case.  Smoothing
     is add-one over the candidate set: p(c) = (count(c)+1) / (total+|set|),
     which sums to exactly 1 within the set.
+
+    Streams are counted into one ``Counter`` per context length, keyed by
+    the packed n-gram: 32 bits per token, oldest token highest.  The first
+    lookup packs each counter into sorted arrays and drops it; a scorer
+    takes no streams after that.  Each context's rows are contiguous in
+    ``toks``/``counts``, and offset arrays (CSR) say where they start:
+
+    - length 0: ``(toks, counts)``, all rows;
+    - length 1: ``(toks, counts, first)``, rows of context ``a`` at
+      ``first[a]:first[a+1]``;
+    - length 2: ``(toks, counts, first, second, start)``; ``first[a]``
+      bounds the slice of ``second`` holding the ``b`` of every seen ``(a,
+      b)``, and the ``i``-th pair's rows are ``start[i]:start[i+1]``.
+
+    More context levels would need another offset level, so the order stops
+    at 3.
     """
 
     def __init__(self, order: int = 3):
-        if order < 1:
-            raise ValueError("order must be at least 1")
+        if not 1 <= order <= 3:
+            raise ValueError("order must be 1, 2 or 3")
         self.order = order
-        self._counts: list[dict[tuple[int, ...], dict[int, int]]] = [
-            {} for _ in range(order)
-        ]
+        self._grams: list[Counter] = [Counter() for _ in range(order)]
+        self._tables: list[tuple] = []
 
     def add_stream(self, tokens: Sequence[int]) -> None:
+        if self._tables:
+            raise ValueError("the scorer is packed; it takes no more streams")
         toks = list(tokens)
-        for pos, tok in enumerate(toks):
-            for ctx_len in range(self.order):
-                if ctx_len > pos:
-                    break
-                ctx = tuple(toks[pos - ctx_len : pos])
-                table = self._counts[ctx_len].setdefault(ctx, {})
-                table[tok] = table.get(tok, 0) + 1
+        if toks and not (0 <= min(toks) and max(toks) <= _MASK):
+            raise ValueError("token ids must lie in [0, 2**32)")
+        for n, grams in enumerate(self._grams, 1):
+            grams.update(_packed(toks, n))
+
+    def _pack(self, levels: int) -> None:
+        """Pack the counters of the context lengths below ``levels``."""
+        while len(self._tables) < levels:
+            ctx_len = len(self._tables)
+            self._tables.append(_table(self._grams[ctx_len], ctx_len))
 
     def log_probs(
         self, context: Sequence[int], candidates: Iterable[int]
@@ -118,14 +148,83 @@ class NGramScorer:
         cands = sorted(set(candidates))
         if not cands:
             raise ValueError("candidates must be nonempty")
-        ctx = tuple(context)
-        use = min(self.order - 1, len(ctx))
-        table = self._counts[use].get(ctx[len(ctx) - use :], {})
-        counts = [table.get(c, 0) for c in cands]
+        if len(self._tables) < self.order:
+            self._pack(self.order)
+        if len(cands) == 1:
+            # (n+1)/(n+1): a lone candidate gets log 1 whatever its count.
+            # Over 90% of decoding's calls are these forced steps.
+            return {cands[0]: 0.0}
+        use = min(self.order - 1, len(context))
+        table = self._tables[use]
+        toks, seen = table[0], table[1]
+        # Narrow [lo, hi) to the rows of the last ``use`` context tokens.
+        lo, hi = 0, len(toks)
+        if use:
+            first = table[2]
+            a = context[-use]
+            if 0 <= a < len(first) - 1:
+                lo, hi = first[a], first[a + 1]
+            else:
+                hi = 0
+            if use == 2 and lo < hi:
+                second = table[3]
+                b = context[-1]
+                i = bisect_left(second, b, lo, hi)
+                if i < hi and second[i] == b:
+                    start = table[4]
+                    lo, hi = start[i], start[i + 1]
+                else:
+                    lo = hi = 0
+        if hi - lo <= len(cands):
+            found = dict(zip(toks[lo:hi], seen[lo:hi]))
+            counts = [found.get(c, 0) for c in cands]
+        else:
+            counts = []
+            for c in cands:
+                lo = bisect_left(toks, c, lo, hi)
+                counts.append(seen[lo] if lo < hi and toks[lo] == c else 0)
         denom = sum(counts) + len(cands)
         return {
             c: math.log((n + 1) / denom) for c, n in zip(cands, counts)
         }
+
+
+def _packed(tokens: Sequence[int], n: int) -> Iterable[int]:
+    """The packed key of every n-gram of ``tokens``, in stream order."""
+    keys: Iterable[int] = tokens
+    for k in range(1, n):
+        keys = map(or_, map(lshift, keys, repeat(32)), tokens[k:])
+    return keys
+
+
+def _offsets(groups: list[int]) -> array:
+    """CSR offsets over sorted ``groups``: group g's entries start at out[g]."""
+    size = groups[-1] + 1 if groups else 0
+    return array("I", map(bisect_left, repeat(groups), range(size + 1)))
+
+
+def _table(grams: Counter, ctx_len: int) -> tuple:
+    """One context length's lookup table; see ``NGramScorer``.  Empties
+    ``grams`` as soon as it is read, to keep the peak low."""
+    keys = sorted(grams)
+    wide = max(grams.values(), default=0) > _MASK
+    counts = array("Q" if wide else "I", map(grams.__getitem__, keys))
+    grams.clear()
+    toks = array("I", map(and_, keys, repeat(_MASK)))
+    if ctx_len == 0:
+        return toks, counts
+    contexts = list(map(rshift, keys, repeat(32)))
+    del keys
+    if ctx_len == 1:
+        return toks, counts, _offsets(contexts)
+    # Row i opens a new (a, b) pair where its context differs from row i-1's.
+    opens = [True, *map(ne, contexts[1:], contexts)]
+    start = array("I", compress(range(len(contexts)), opens))
+    start.append(len(contexts))
+    pairs = list(compress(contexts, opens))
+    second = array("I", map(and_, pairs, repeat(_MASK)))
+    first = _offsets(list(map(rshift, pairs, repeat(32))))
+    return toks, counts, first, second, start
 
 
 def corpus_scorer(corpus: Corpus) -> NGramScorer:
@@ -137,16 +236,43 @@ def corpus_scorer(corpus: Corpus) -> NGramScorer:
     The body bridges are what let a verbatim excerpt pull up its own
     document's title during constrained decoding; the echo does the same
     for a query that is itself a title string.
+
+    The counts equal streaming every stream through ``add_stream``, but are
+    taken in bulk, one context length at a time.  A bridge
+    ``[b_j, b_{j+1}, *title, END]`` has body tokens only in the n-grams that
+    start at its first two positions; the rest are the title's own n-grams,
+    the same for every ``j``, so they are counted once times the number of
+    bridges.
     """
     scorer = NGramScorer()
-    for doc in corpus.documents:
-        scorer.add_stream(list(doc.body_tokens) + [END_ID])
-        scorer.add_stream(list(doc.title_tokens) + [END_ID])
-        body = doc.body_tokens
-        title = list(doc.title_tokens)
-        scorer.add_stream(title + title + [END_ID])
-        for j in range(len(body) - 1):
-            scorer.add_stream([body[j], body[j + 1], *title, END_ID])
+    for n in range(1, scorer.order + 1):
+        grams = scorer._grams[n - 1]
+        for doc in corpus.documents:
+            body = list(doc.body_tokens)
+            tail = [*doc.title_tokens, END_ID]
+            grams.update(_packed(body + [END_ID], n))
+            grams.update(_packed(tail, n))
+            grams.update(_packed(tail[:-1] + tail, n))
+            bridges = len(body) - 1
+            if bridges < 1:
+                continue
+            # n-grams starting at b_j hold min(n, 2) body tokens; those
+            # starting at b_{j+1} hold one.  The rest of each comes from tail.
+            for head, from_tail in (
+                (islice(_packed(body, min(n, 2)), bridges), max(n - 2, 0)),
+                (body[1:], n - 1),
+            ):
+                if from_tail > len(tail):
+                    continue
+                suffix = 0
+                for tok in tail[:from_tail]:
+                    suffix = suffix << 32 | tok
+                grams.update(
+                    map(or_, map(lshift, head, repeat(32 * from_tail)), repeat(suffix))
+                )
+            for key in _packed(tail, n):
+                grams[key] += bridges
+        scorer._pack(n)
     return scorer
 
 

@@ -5,6 +5,7 @@ explicit enumeration.  Nothing imports from the package's index modules, so
 agreement between the two sides is meaningful evidence.
 """
 
+import math
 from functools import cmp_to_key
 from typing import Sequence
 
@@ -142,3 +143,53 @@ def enumerate_substring_finishers(
         if not occurs_inside:
             finishers.add(sub)
     return finishers
+
+
+class StreamingNGramScorer:
+    """The n-gram scorer as a per-token loop over dict-of-dict count tables.
+
+    ``counts[ctx_len][context_tuple][token]`` is how often ``token``
+    followed ``context_tuple``; scoring is the same add-one rule over the
+    candidate set as the packed scorer's.
+    """
+
+    def __init__(self, order: int = 3):
+        self.order = order
+        self.counts: list[dict[tuple[int, ...], dict[int, int]]] = [
+            {} for _ in range(order)
+        ]
+
+    def add_stream(self, tokens: Sequence[int]) -> None:
+        toks = list(tokens)
+        for pos, tok in enumerate(toks):
+            for ctx_len in range(self.order):
+                if ctx_len > pos:
+                    break
+                ctx = tuple(toks[pos - ctx_len : pos])
+                table = self.counts[ctx_len].setdefault(ctx, {})
+                table[tok] = table.get(tok, 0) + 1
+
+    def log_probs(self, context, candidates) -> dict[int, float]:
+        cands = sorted(set(candidates))
+        if not cands:
+            raise ValueError("candidates must be nonempty")
+        ctx = tuple(context)
+        use = min(self.order - 1, len(ctx))
+        table = self.counts[use].get(ctx[len(ctx) - use :], {})
+        counts = [table.get(c, 0) for c in cands]
+        denom = sum(counts) + len(cands)
+        return {c: math.log((n + 1) / denom) for c, n in zip(cands, counts)}
+
+
+def corpus_streams(corpus):
+    """Every stream the corpus scorer is trained on, written out one by one:
+    body+END, title+END, title+title+END, and [b_j, b_j+1, *title, END] for
+    every body bigram."""
+    for doc in corpus.documents:
+        body = list(doc.body_tokens)
+        title = list(doc.title_tokens)
+        yield body + [END_ID]
+        yield title + [END_ID]
+        yield title + title + [END_ID]
+        for j in range(len(body) - 1):
+            yield [body[j], body[j + 1], *title, END_ID]

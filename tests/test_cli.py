@@ -87,6 +87,34 @@ def workspace(tmp_path_factory):
     }
 
 
+PLAIN_TEMPLATES = ("--stage1-template", "{}", "--stage2-template", "{}")
+
+
+@pytest.fixture(scope="module")
+def excerpts(tmp_path_factory):
+    """Artifacts for 30 synthetic documents and one excerpt query from each
+    of the first 20, laid out like ``workspace``."""
+    root = tmp_path_factory.mktemp("excerpts")
+    records = helpers.synthetic_records(num_docs=30, body_len=120, seed=5)
+    corpus_path = root / "corpus.jsonl"
+    corpus_path.write_text(
+        "".join(json.dumps(record) + "\n" for record in records), encoding="utf-8"
+    )
+    index_dir = root / "artifacts"
+    code = run_cli(["build", "--corpus", str(corpus_path), "--out", str(index_dir)])
+    assert code == 0
+    corpus = ingest_corpus(records)
+    queries_path = root / "queries.txt"
+    queries_path.write_text(
+        "".join(
+            corpus.codec.decode(doc.body_tokens[20:40]) + "\n"
+            for doc in corpus.documents[:20]
+        ),
+        encoding="utf-8",
+    )
+    return {"index_dir": str(index_dir), "queries_path": str(queries_path)}
+
+
 def recall_to(workspace, out_path, *extra):
     code = run_cli(
         [
@@ -332,6 +360,50 @@ class TestRecall:
         assert config["stage1_template"] == "find the page for {}"
         assert "Answer:" in config["stage2_template"]
 
+    def test_default_templates_tell_excerpts_apart(self, excerpts, tmp_path):
+        path = recall_to(excerpts, tmp_path / "out.jsonl")
+        lines = read_lines(path)
+        tops = [r["references"][0]["doc_id"] for r in lines[1:] if r["references"]]
+        assert len(set(tops)) >= 19, tops
+        config = lines[0]["metadata"]["config"]
+        assert config["stage1_template"] == config["stage2_template"] == "{}"
+
+    def test_config_file_task_keeps_its_templates(self, workspace, tmp_path):
+        config_path = tmp_path / "conf.json"
+        config_path.write_text(json.dumps({"task": "qa"}), encoding="utf-8")
+        path = recall_to(
+            workspace, tmp_path / "out.jsonl", "--config", str(config_path)
+        )
+        config = read_lines(path)[0]["metadata"]["config"]
+        assert config["stage1_template"].startswith("Question:")
+        assert "Answer:" in config["stage2_template"]
+
+    # sha256 of everything after the header line.  Any change to how the
+    # scorer counts or computes a float shows here.
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                PLAIN_TEMPLATES,
+                "9d49f189b54e436b4191032b982fec8e673fe1e3381f9ee8dd18d1d896555638",
+            ),
+            (
+                ("--task", "qa"),
+                "72ec8e8b318ec313bed480c3e8dec7d7c1e62242b65ff2b88cd363157ed83d47",
+            ),
+            (
+                PLAIN_TEMPLATES + ("--rescore-full-passage", "--k", "3"),
+                "b774ef23870332c8bc68b341012501b02e70b9089cb3c2426e38ba5a66237d3c",
+            ),
+        ],
+        ids=["plain", "qa", "plain-rescore-k3"],
+    )
+    def test_record_lines_are_pinned(self, excerpts, tmp_path, flags, digest):
+        path = recall_to(excerpts, tmp_path / "out.jsonl", *flags)
+        with open(path, "rb") as fh:
+            fh.readline()
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
+
     def test_metadata_carries_no_run_timing(self, workspace, tmp_path):
         first = recall_to(workspace, tmp_path / "a.jsonl")
         second = recall_to(workspace, tmp_path / "b.jsonl")
@@ -524,12 +596,16 @@ class TestRecall:
 
 class TestRemoteEndpoint:
     def test_env_endpoint_matches_local_scorer(self, workspace, tmp_path, monkeypatch):
-        local = recall_to(workspace, tmp_path / "local.jsonl")
+        local = recall_to(workspace, tmp_path / "local.jsonl", *PLAIN_TEMPLATES)
         inner = corpus_scorer(workspace["corpus"])
         with helpers.serve_scorer(inner) as url:
             monkeypatch.setenv("PASSRECALL_ENDPOINT", url)
             remote = recall_to(
-                workspace, tmp_path / "remote.jsonl", "--scorer", "remote"
+                workspace,
+                tmp_path / "remote.jsonl",
+                "--scorer",
+                "remote",
+                *PLAIN_TEMPLATES,
             )
         local_records = read_lines(local)[1:]
         remote_records = read_lines(remote)[1:]

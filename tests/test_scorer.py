@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passrecall.corpus import WordCodec, ingest_corpus
+import helpers
+import oracles
+from passrecall.corpus import END_ID, WordCodec, ingest_corpus
 from passrecall.scorer import (
     STAGE_ONE,
     STAGE_TWO,
@@ -78,10 +80,104 @@ class TestDefaultTemplates:
         )
 
 
+def packed_counts(scorer):
+    """The packed tables read back as ``counts[ctx_len][context][token]``,
+    the oracle's layout."""
+    scorer.log_probs([], {END_ID})  # packs any counted streams
+    out = []
+    for ctx_len, table in enumerate(scorer._tables):
+        toks, counts = table[:2]
+        if ctx_len == 0:
+            spans = [((), 0, len(toks))] if toks else []
+        elif ctx_len == 1:
+            first = table[2]
+            spans = [((a,), first[a], first[a + 1]) for a in range(len(first) - 1)]
+        else:
+            first, second, start = table[2:]
+            spans = [
+                ((a, second[i]), start[i], start[i + 1])
+                for a in range(len(first) - 1)
+                for i in range(first[a], first[a + 1])
+            ]
+        out.append(
+            {
+                ctx: dict(zip(toks[lo:hi], counts[lo:hi]))
+                for ctx, lo, hi in spans
+                if hi > lo
+            }
+        )
+    return out
+
+
+def streamed(streams, order=3):
+    oracle = oracles.StreamingNGramScorer(order)
+    for stream in streams:
+        oracle.add_stream(stream)
+    return oracle
+
+
+# Small ids collide often enough to share contexts; the huge ones lie far
+# beyond every offsets array.
+any_token = st.one_of(
+    st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=2**40)
+)
+
+
 class TestNGramScorer:
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError, match="order"):
             NGramScorer(order=0)
+
+    def test_order_above_three_rejected(self):
+        with pytest.raises(ValueError, match="order"):
+            NGramScorer(order=4)
+
+    @pytest.mark.parametrize("token", [-1, 2**32])
+    def test_token_id_outside_32_bits_rejected(self, token):
+        with pytest.raises(ValueError, match="token ids"):
+            NGramScorer().add_stream([3, token])
+
+    def test_no_streams_after_the_first_lookup(self):
+        scorer = NGramScorer()
+        scorer.add_stream([3, 4])
+        scorer.log_probs([3], {4})
+        with pytest.raises(ValueError, match="packed"):
+            scorer.add_stream([3, 4])
+
+    def test_counts_beyond_32_bits_are_kept(self):
+        # Bridge counts are multiplied by the body length, so one n-gram can
+        # outgrow a u32 without the corpus holding 2**32 tokens.
+        scorer = NGramScorer(order=1)
+        scorer._grams[0].update({7: 2**33})
+        assert scorer.log_probs([], {7, 8}) == {
+            7: math.log((2**33 + 1) / (2**33 + 2)),
+            8: math.log(1 / (2**33 + 2)),
+        }
+
+    @given(
+        order=st.integers(min_value=1, max_value=3),
+        streams=st.lists(
+            st.lists(st.integers(min_value=0, max_value=8), max_size=12), max_size=6
+        ),
+        context=st.lists(any_token, max_size=5),
+        cands=st.sets(any_token, min_size=1, max_size=10),
+        with_end=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_log_probs_match_the_streaming_oracle(
+        self, order, streams, context, cands, with_end
+    ):
+        if with_end:
+            cands = cands | {END_ID}
+        scorer = NGramScorer(order)
+        for stream in streams:
+            scorer.add_stream(stream)
+        oracle = streamed(streams, order)
+        # Every trained context, then one that may be unseen or out of range.
+        contexts = [stream[:i] for stream in streams for i in range(len(stream) + 1)]
+        for ctx in contexts + [context]:
+            assert scorer.log_probs(ctx, cands) == oracle.log_probs(ctx, cands)
+        assert packed_counts(scorer) == oracle.counts
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -169,3 +265,38 @@ class TestCorpusScorer:
         title_a = list(corpus.document("a").title_tokens)
         after_title = scorer.log_probs(title_a, {0, title_a[0]})
         assert after_title[0] > after_title[title_a[0]]
+
+    def test_counts_equal_streaming_every_stream(self):
+        corpus = helpers.synthetic_corpus()
+        oracle = streamed(oracles.corpus_streams(corpus))
+        assert packed_counts(corpus_scorer(corpus)) == oracle.counts
+
+    @pytest.mark.parametrize(
+        "title, text",
+        [
+            ("red badge", "cat"),
+            ("solo", "dog fox hen dog fox"),
+            (" ".join(f"t{i}" for i in range(5000)), "sun moon star sun"),
+            ("owl song", " ".join(["owl"] * 200)),
+        ],
+        ids=[
+            "one-token-body",
+            "one-token-title",
+            "5000-token-title",
+            "one-repeated-token",
+        ],
+    )
+    def test_extreme_documents_match_the_oracle(self, title, text):
+        corpus = ingest_corpus(
+            [
+                {"id": "x", "title": title, "text": [text]},
+                {"id": "y", "title": "blue flag", "text": ["cat dog cat owl"]},
+            ]
+        )
+        scorer = corpus_scorer(corpus)
+        oracle = streamed(oracles.corpus_streams(corpus))
+        assert packed_counts(scorer) == oracle.counts
+        cands = set(range(corpus.codec.vocab_size))
+        for doc in corpus.documents:
+            for ctx in ([], doc.body_tokens[-1:], doc.title_tokens[-2:]):
+                assert scorer.log_probs(ctx, cands) == oracle.log_probs(ctx, cands)
