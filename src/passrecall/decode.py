@@ -8,6 +8,12 @@ backward-extension step per live document.  The terminator (id 0) is a
 control signal, not content: choosing it freezes the hypothesis without
 scoring the terminator itself, and the final score is the mean
 log-probability of the content tokens alone.
+
+Each beam step first cuts every parent's children to its own best
+``beam_size``, then keeps the best ``beam_size`` of what is left.  The cut
+is exact: both rankings use the key ``(-(cum + lp), tokens)``, which orders
+one parent's children the same way, so a child its parent's cut drops has
+``beam_size`` siblings ahead of it in the global ranking too.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, neg
 from typing import Protocol, Sequence
 
 from .corpus import END_ID
@@ -166,7 +174,8 @@ def constrained_beam_search(
     beam.  Returns at most beam_size results; an all-dead beam returns an
     empty list after logging the dead end.
     """
-    if not constraint.allowed():
+    root_allowed = constraint.allowed()
+    if not root_allowed:
         raise ValueError("constraint offers no tokens at the start")
     prompt = list(prompt)
     live = [Hypothesis(constraint=constraint)]
@@ -178,18 +187,26 @@ def constrained_beam_search(
         # (-cum_logprob, tokens, parent): only the kept ones get stepped.
         candidates: list[tuple[float, tuple[int, ...], Hypothesis]] = []
         for hyp in live:
-            allowed = hyp.constraint.allowed()
+            # Only the root hypothesis has no tokens yet.
+            allowed = hyp.constraint.allowed() if hyp.tokens else root_allowed
             if not allowed:
                 continue
             log_probs = scorer.log_probs(prompt + list(hyp.tokens), allowed)
-            for token in sorted(allowed):
-                if token == END_ID:
-                    if hyp.tokens:
-                        finished.append(hyp)
-                    continue
-                candidates.append(
-                    (-(hyp.cum_logprob + log_probs[token]), hyp.tokens + (token,), hyp)
-                )
+            tokens = allowed
+            if END_ID in allowed:
+                if hyp.tokens:
+                    finished.append(hyp)
+                tokens = allowed - {END_ID}
+            # The per-parent cut uses the global key, not lp alone: float
+            # addition can tie children whose lp differ.
+            lps = map(log_probs.__getitem__, tokens)
+            keys = zip(map(neg, map(add, repeat(hyp.cum_logprob), lps)), tokens)
+            if len(tokens) > config.beam_size:
+                keys = heapq.nsmallest(config.beam_size, keys)
+            candidates.extend(
+                (neg_logprob, hyp.tokens + (token,), hyp)
+                for neg_logprob, token in keys
+            )
         # Candidate token tuples are distinct, so ties never compare parents.
         live = [
             Hypothesis(

@@ -7,8 +7,10 @@ prefix is one backward-extension step, while patterns and positions stay in
 the body's own left-to-right coordinates.  Backward extension is a pair of
 rank queries answered by binary search over per-symbol occurrence lists;
 the tokens that can follow a prefix are the distinct symbols in its BWT
-rows.  An index section stores only the document id and the suffix array;
-``load_index`` rebuilds the BWT and rank tables from it and the body tokens.
+rows, read from the C table for the full range and by one scan of the rows
+for any narrower one.  An index section stores only the document id and
+the suffix array; ``load_index`` rebuilds the BWT and rank tables from it
+and the body tokens.
 """
 
 from __future__ import annotations
@@ -125,8 +127,15 @@ class BWTIndex:
 
     def range_successors(self, rng: SearchRange) -> set[int]:
         """Distinct non-sentinel symbols of bwt[lo:hi): the symbols whose
-        backward extension of ``rng`` is nonempty."""
-        successors = set(self.bwt[rng.lo : rng.hi])
+        backward extension of ``rng`` is nonempty.
+
+        The full range holds every symbol, so its answer is read from
+        ``c_table``; any other range is one scan of its BWT rows.
+        """
+        if rng == self.full_range():
+            successors = set(self.c_table)
+        else:
+            successors = set(self.bwt[rng.lo : rng.hi])
         successors.discard(SENTINEL_ID)
         return successors
 

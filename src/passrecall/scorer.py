@@ -177,16 +177,16 @@ class NGramScorer:
                     lo = hi = 0
         if hi - lo <= len(cands):
             found = dict(zip(toks[lo:hi], seen[lo:hi]))
-            counts = [found.get(c, 0) for c in cands]
+            counts = list(map(found.get, cands, repeat(0)))
         else:
             counts = []
             for c in cands:
                 lo = bisect_left(toks, c, lo, hi)
                 counts.append(seen[lo] if lo < hi and toks[lo] == c else 0)
         denom = sum(counts) + len(cands)
-        return {
-            c: math.log((n + 1) / denom) for c, n in zip(cands, counts)
-        }
+        # Wide sets repeat few counts (most are 0): one log per distinct count.
+        logs = {n: math.log((n + 1) / denom) for n in set(counts)}
+        return dict(zip(cands, map(logs.__getitem__, counts)))
 
 
 def _packed(tokens: Sequence[int], n: int) -> Iterable[int]:

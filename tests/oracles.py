@@ -193,3 +193,50 @@ def corpus_streams(corpus):
         yield title + title + [END_ID]
         for j in range(len(body) - 1):
             yield [body[j], body[j + 1], *title, END_ID]
+
+
+def global_cut_beam_search(scorer, prompt, constraint, beam_size, max_len):
+    """The beam search with one global cut over every child of every live
+    hypothesis, as ``(tokens, mean log-prob)`` best-first.
+
+    Each step builds a ``(-(cum + lp), tokens, parent)`` key for every
+    allowed content token and keeps the ``beam_size`` smallest; a parent
+    offered END_ID is parked as finished.
+    """
+    prompt = list(prompt)
+    if not constraint.allowed():
+        raise ValueError("constraint offers no tokens at the start")
+    live = [((), 0.0, constraint)]
+    finished = []
+    for _ in range(max_len):
+        if not live:
+            break
+        candidates = []
+        for tokens, cum, state in live:
+            allowed = state.allowed()
+            if not allowed:
+                continue
+            log_probs = scorer.log_probs(prompt + list(tokens), allowed)
+            for token in sorted(allowed):
+                if token == END_ID:
+                    if tokens:
+                        finished.append((tokens, cum, state))
+                    continue
+                candidates.append(
+                    (-(cum + log_probs[token]), tokens + (token,), state)
+                )
+        candidates.sort(key=lambda c: (c[0], c[1]))
+        live = [
+            (tokens, -neg, state.step(tokens[-1]))
+            for neg, tokens, state in candidates[:beam_size]
+        ]
+    finished.extend(
+        (tokens, cum, state)
+        for tokens, cum, state in live
+        if tokens and state.is_terminal()
+    )
+    ranked = sorted(
+        ((tokens, cum / len(tokens)) for tokens, cum, _ in finished),
+        key=lambda r: (-r[1], r[0]),
+    )
+    return ranked[:beam_size]

@@ -2,6 +2,8 @@ import logging
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from passrecall.corpus import END_ID
@@ -303,6 +305,82 @@ class TestSubstringSearch:
                 ),
             )
             assert [r.tokens for r in results] == [seq for _, seq in expected]
+
+
+class SubUlpScorer:
+    """Log-probs that tie under float addition.
+
+    The first step after the prompt costs ``first``; every later step costs
+    -1 minus ``offsets[token % len(offsets)] * 2**-50``.  Next to a
+    cumulative score near -100 those offsets are below one ulp, so children
+    whose log-probs differ still tie on ``cum + lp``.  One offset gives
+    constant log-probs.
+    """
+
+    def __init__(self, prompt_len, first, offsets):
+        self.prompt_len = prompt_len
+        self.first = first
+        self.offsets = offsets
+
+    def log_probs(self, context, candidates):
+        base = self.first if len(context) == self.prompt_len else -1.0
+        return {
+            c: base - self.offsets[c % len(self.offsets)] * 2.0**-50
+            for c in candidates
+        }
+
+
+small_token = st.integers(min_value=3, max_value=9)
+
+
+class TestGlobalCutOracle:
+    """The per-parent cut keeps exactly what one global cut would."""
+
+    @given(
+        trie=st.booleans(),
+        texts=st.lists(
+            st.lists(small_token, min_size=1, max_size=8), min_size=1, max_size=4
+        ),
+        scorer_kind=st.sampled_from(["constant", "sub-ulp", "ngram"]),
+        first=st.sampled_from([-100.0, -99.75, -0.5]),
+        offsets=st.lists(st.integers(0, 3), min_size=2, max_size=7),
+        prompt=st.lists(small_token, max_size=3),
+        beam_size=st.integers(1, 4),
+        max_len=st.integers(1, 6),
+    )
+    # After a -100 first step, (3, 4) and (3, 5) tie at -101 although 5's
+    # log-prob is larger: the tie goes to the smaller token, 4.
+    @example(
+        trie=True,
+        texts=[[3, 4], [3, 5]],
+        scorer_kind="sub-ulp",
+        first=-100.0,
+        offsets=[1, 0],
+        prompt=[],
+        beam_size=1,
+        max_len=3,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_global_cut(
+        self, trie, texts, scorer_kind, first, offsets, prompt, beam_size, max_len
+    ):
+        if trie:
+            constraint = TrieConstraint(trie_from(sorted(set(map(tuple, texts)))))
+        else:
+            constraint = substring_constraint(texts)
+        if scorer_kind == "ngram":
+            scorer = trained_scorer(texts)
+        else:
+            scorer = SubUlpScorer(
+                len(prompt), first, [0] if scorer_kind == "constant" else offsets
+            )
+        got = constrained_beam_search(
+            scorer, prompt, constraint, BeamConfig(beam_size, max_len)
+        )
+        expected = oracles.global_cut_beam_search(
+            scorer, prompt, constraint, beam_size, max_len
+        )
+        assert [(r.tokens, r.score) for r in got] == expected
 
 
 class TestDeterminism:

@@ -109,13 +109,37 @@ class TestBWTIndexReversed:
                     prefix,
                 )
 
-    def test_successor_probe_path_on_wide_ranges(self):
-        # The widest range, the whole document: every distinct token.
-        rng = random.Random(14)
-        text = random_case(rng, alphabet=3, length=900)
-        index = BWTIndex.build(text)
-        got = index.range_successors(index.full_range())
-        assert got == set(text)
+    @pytest.mark.parametrize(
+        "bodies",
+        [
+            [random_case(random.Random(14), alphabet=3, length=900)],
+            [[5]],
+            [[4] * 50],
+            [[3, 4, 3, 5], [6, 7, 6]],
+        ],
+        ids=[
+            "random-900-tokens",
+            "one-token-body",
+            "one-repeated-token",
+            "two-disjoint-documents",
+        ],
+    )
+    def test_full_range_successors_are_every_symbol(self, bodies):
+        # The full range is answered from c_table, not from the BWT rows.
+        entries = []
+        for i, body in enumerate(bodies):
+            doc = Document(f"doc-{i}", "t", (3,), tuple(body))
+            index = BWTIndex.build(body, doc_id=doc.doc_id)
+            buf = io.BytesIO()
+            save_index(index, buf)
+            buf.seek(0)
+            loaded = load_index(buf, doc)
+            expected = oracles.naive_successors([body], [])
+            for idx in (index, loaded):
+                assert idx.range_successors(idx.full_range()) == expected
+            entries.append((doc.doc_id, loaded))
+        state = SubstringConstraint(entries)
+        assert state.allowed() == oracles.naive_successors(bodies, [])
 
     def test_empty_pattern_rejected(self):
         index = BWTIndex.build([3, 4, 5])
