@@ -189,7 +189,7 @@ def _build_config(args: argparse.Namespace) -> RecallConfig:
         task = args.task
     templates = default_templates()
     if task is not None:
-        if task not in templates:
+        if not isinstance(task, str) or task not in templates:
             raise DataError(f"unknown task {task!r}")
         settings.setdefault("stage1_template", templates[task][STAGE_ONE].template)
         settings.setdefault("stage2_template", templates[task][STAGE_TWO].template)
@@ -203,15 +203,10 @@ def _build_config(args: argparse.Namespace) -> RecallConfig:
         # score every query alike.  The bare query is what it can use.
         settings.setdefault("stage1_template", "{}")
         settings.setdefault("stage2_template", "{}")
-    if "stage1_template" in settings:
-        settings["stage1_template"] = PromptTemplate(
-            settings["stage1_template"], STAGE_ONE
-        )
-    if "stage2_template" in settings:
-        settings["stage2_template"] = PromptTemplate(
-            settings["stage2_template"], STAGE_TWO
-        )
     try:
+        for name in ("stage1_template", "stage2_template"):
+            if name in settings:
+                settings[name] = PromptTemplate(settings[name])
         return RecallConfig(**settings)
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad configuration: {exc}") from exc
@@ -225,10 +220,6 @@ def _make_scorer(args: argparse.Namespace, artifacts: Artifacts):
     if not endpoint:
         raise DataError(
             f"remote scorer needs --endpoint or ${ENDPOINT_ENV}"
-        )
-    if args.strict_determinism:
-        raise DataError(
-            "--strict-determinism only admits the in-process ngram scorer"
         )
     scorer = RemoteScorer(
         endpoint=endpoint,
@@ -269,13 +260,12 @@ def run_recall_batch(engine: RecallEngine, queries: Sequence[str]) -> list[dict]
     return records
 
 
-def _metadata_line(args, artifacts: Artifacts, config: RecallConfig, scorer_info) -> str:
+def _metadata_line(artifacts: Artifacts, config: RecallConfig, scorer_info) -> str:
     metadata = {
         "config": config.described(),
         "artifact_digest": artifacts.digest,
         "document_count": len(artifacts.corpus.documents),
         "scorer": scorer_info,
-        "strict_determinism": bool(args.strict_determinism),
         "tool_version": __version__,
     }
     return json.dumps({"metadata": metadata}, ensure_ascii=False, sort_keys=True)
@@ -295,7 +285,7 @@ def cmd_recall(args: argparse.Namespace) -> int:
     elapsed = time.monotonic() - started
     logger.info("recalled %d queries in %.2fs", len(queries), elapsed)
 
-    lines = [_metadata_line(args, artifacts, config, scorer_info)]
+    lines = [_metadata_line(artifacts, config, scorer_info)]
     lines += [json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records]
     payload = "\n".join(lines) + "\n"
     if args.output:
@@ -309,19 +299,39 @@ def cmd_recall(args: argparse.Namespace) -> int:
 # -- evaluate ----------------------------------------------------------------
 
 
+def _is_recall_record(record) -> bool:
+    refs = record.get("references") if isinstance(record, dict) else None
+    return (
+        isinstance(refs, list)
+        and isinstance(record.get("query"), str)
+        and all(
+            isinstance(ref, dict)
+            and isinstance(ref.get("doc_id"), str)
+            and isinstance(ref.get("passage_text"), str)
+            for ref in refs
+        )
+    )
+
+
 def read_recall_output(path: str) -> tuple[dict, list[dict]]:
     """Split a recall output file into its metadata header and records."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+        lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
     if not lines:
         raise DataError("recall output is empty")
     try:
-        header = json.loads(lines[0])
-        records = [json.loads(line) for line in lines[1:]]
+        header, *records = [json.loads(line) for _, line in lines]
     except json.JSONDecodeError as exc:
         raise DataError(f"recall output unreadable: {exc}") from exc
-    if "metadata" not in header:
+    if not isinstance(header, dict) or "metadata" not in header:
         raise DataError("recall output lacks the metadata header line")
+    for (number, _), record in zip(lines[1:], records):
+        if not _is_recall_record(record):
+            raise DataError(
+                f"recall output line {number} is not a record with a string "
+                "query and a list of references, each with a string doc_id "
+                "and passage_text"
+            )
     return header["metadata"], records
 
 
@@ -336,7 +346,7 @@ def _evaluate_records(
         record = by_query.get(item.query)
         if record is None:
             raise DataError(f"no recall output for query {item.query!r}")
-        refs = record.get("references", [])
+        refs = record["references"]
         doc_ids = [r["doc_id"] for r in refs]
         top_passage = refs[0]["passage_text"] if refs else ""
         results.append(evaluate_item(item, doc_ids, top_passage))
@@ -445,14 +455,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
     scorer.add_argument("--timeout", type=float, default=10.0)
     scorer.add_argument("--retries", type=int, default=2)
-
-    run = parser.add_argument_group("execution")
-    run.add_argument(
-        "--strict-determinism",
-        dest="strict_determinism",
-        action="store_true",
-        help="refuse any scorer whose outputs this process cannot pin down",
-    )
 
 
 def build_parser() -> _Parser:

@@ -258,9 +258,6 @@ class Corpus:
     def document(self, doc_id: str) -> Document:
         return self._by_id[doc_id]
 
-    def titles(self) -> list[str]:
-        return [doc.title for doc in self.documents]
-
 
 def ingest_corpus(
     records: Iterable[Mapping], codec: TokenCodec | None = None

@@ -153,13 +153,20 @@ class BWTIndex:
     def count(self, pattern: Sequence[int]) -> int:
         return self.match_range(pattern).width
 
+    def starts(self, rng: SearchRange, length: int) -> list[int]:
+        """Sorted start offsets of the ``length``-token pattern matched by ``rng``.
+
+        Row r's suffix of the reversed text begins with the reversed pattern,
+        so the pattern ends at text_len - 1 - sa[r] in the original text.
+        """
+        shift = self.text_len - length
+        return sorted(shift - self.sa[row] for row in range(rng.lo, rng.hi))
+
     def locate_all(self, pattern: Sequence[int]) -> list[int]:
         """Sorted start offsets of ``pattern`` in the original text."""
         if not pattern:
             raise ValueError("pattern must be nonempty")
-        rng = self.match_range(pattern)
-        shift = self.text_len - len(pattern)
-        return sorted(shift - self.sa[row] for row in range(rng.lo, rng.hi))
+        return self.starts(self.match_range(pattern), len(pattern))
 
 
 def save_index(index: BWTIndex, handle: BinaryIO) -> None:

@@ -2,11 +2,11 @@
 
 Stage 1 decodes a document title under the trie constraint and keeps the
 top k distinct documents.  Stage 2 decodes a short prefix (prefix_len
-tokens) constrained to be a verbatim substring of those documents, takes
-the prefix's first occurrence from the FM-index of the first document it
-is still live in, and extracts the surrounding passage_len tokens.  The
-two stage scores are combined as alpha * score1 + (1 - alpha) * score2
-and references are ranked by the combined value.
+tokens) constrained to be a verbatim substring of those documents, reads
+its first occurrence off the suffix-array range the decoder ends on in the
+first document it is still live in, and extracts passage_len tokens from
+there.  The two stage scores are combined as alpha * score1 + (1 - alpha) *
+score2 and references are ranked by the combined value.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 from .corpus import Corpus, Document
 from .decode import (
     BeamConfig,
+    BeamResult,
     SubstringConstraint,
     TrieConstraint,
     constrained_beam_search,
@@ -67,6 +68,14 @@ class RecallConfig:
     rescore_full_passage: bool = False
 
     def __post_init__(self):
+        # type(), not isinstance: a bool is an int but no count or weight.
+        sizes = (self.k, self.beam1, self.beam2, self.prefix_len, self.passage_len)
+        if any(type(value) is not int for value in sizes):
+            raise TypeError("k, beams and lengths must be integers")
+        if type(self.alpha) not in (int, float):
+            raise TypeError("alpha must be a number")
+        if type(self.rescore_full_passage) is not bool:
+            raise TypeError("rescore_full_passage must be true or false")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.k < 1:
@@ -101,13 +110,6 @@ class StageOneResult:
 
 
 @dataclass(frozen=True)
-class PrefixResult:
-    tokens: tuple[int, ...]
-    score2: float
-    live_doc_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Reference:
     doc_id: str
     title: str
@@ -139,17 +141,10 @@ def recall_titles(
         raise DeadEndError("no title could be generated for this query")
     out = []
     for result in results:
-        doc_id = trie.resolve_title(result.tokens)
-        if doc_id is None:
-            raise InternalInconsistencyError(
-                "beam emitted a title absent from the trie"
-            )
+        # A finished title ends on a terminal node, which names its document.
+        doc = corpus.document(result.constraint.node.doc_id)
         out.append(
-            StageOneResult(
-                title=corpus.document(doc_id).title,
-                doc_id=doc_id,
-                score1=result.score,
-            )
+            StageOneResult(title=doc.title, doc_id=doc.doc_id, score1=result.score)
         )
     return out
 
@@ -179,57 +174,52 @@ def recall_prefixes(
     corpus: Corpus,
     scorer: TokenScorer,
     config: RecallConfig,
-) -> list[PrefixResult]:
-    """Decode up to beam2 short prefixes constrained to the selected docs."""
+) -> list[BeamResult]:
+    """Decode up to beam2 short prefixes constrained to the selected docs.
+
+    Each result's constraint is a ``SubstringConstraint`` that holds the
+    prefix's suffix-array range in every selected document.
+    """
     entries = []
     for result in selected:
         index = indexes.get(result.doc_id)
         if index is None:
             raise KeyError(f"missing index for document {result.doc_id!r}")
         entries.append((result.doc_id, index))
-    constraint = SubstringConstraint(entries)
     prompt = render_prompt(config.stage2_template, query, corpus.codec)
-    results = constrained_beam_search(
+    return constrained_beam_search(
         scorer,
         prompt,
-        constraint,
+        SubstringConstraint(entries),
         BeamConfig(beam_size=config.beam2, max_len=config.prefix_len),
     )
-    out = []
-    for result in results:
-        state = result.constraint
-        assert isinstance(state, SubstringConstraint)
-        out.append(
-            PrefixResult(
-                tokens=result.tokens,
-                score2=result.score,
-                live_doc_ids=tuple(state.live_doc_ids()),
-            )
-        )
-    return out
 
 
-def localize(
-    prefix: PrefixResult, indexes: Mapping[str, BWTIndex]
-) -> tuple[str, int]:
-    """First occurrence of the prefix, in the first live document that has one.
+def localize(prefix: BeamResult) -> tuple[str, int]:
+    """First occurrence of a stage-2 prefix, in the first document it is
+    live in, read off the decoder's final range there.
 
-    ``live_doc_ids`` keep the stage-1 order, so this is the first match a
-    scan of the selected documents in score order would find.
+    The constraint keeps the selected documents in stage-1 order, so this
+    is the first match a scan of them in score order would find.
     """
-    for doc_id in prefix.live_doc_ids:
-        starts = indexes[doc_id].locate_all(prefix.tokens)
-        if starts:
-            return doc_id, starts[0]
-    raise InternalInconsistencyError(
-        "generated prefix not found in any selected document"
+    state = prefix.constraint
+    doc_id, index, rng = next(
+        (doc_id, index, rng)
+        for (doc_id, index), rng in zip(state.entries, state.ranges)
+        if not rng.empty
     )
+    return doc_id, index.starts(rng, len(prefix.tokens))[0]
 
 
 def extract_reference(doc: Document, start: int, passage_len: int) -> tuple[int, ...]:
-    """Passage slice [start, start + passage_len), clamped at document end."""
+    """Passage slice [start, start + passage_len), clamped at document end.
+
+    A start outside the body means the index and the text disagree.
+    """
     if not 0 <= start < len(doc.body_tokens):
-        raise ValueError(f"start {start} out of range for {doc.doc_id!r}")
+        raise InternalInconsistencyError(
+            f"start {start} out of range for {doc.doc_id!r}"
+        )
     return tuple(doc.body_tokens[start : start + passage_len])
 
 
@@ -286,20 +276,20 @@ class RecallEngine:
         score1_by_doc = {r.doc_id: r.score1 for r in selected}
         stage2_prompt = render_prompt(config.stage2_template, query, corpus.codec)
 
+        # Two prefixes never share a position, so references need no dedupe.
+        # Decoded prefixes are distinct token sequences, and one shorter than
+        # prefix_len finishes only when every occurrence of it ends at its
+        # document's end, so no longer prefix starts where it does.
         references = []
-        seen: set[tuple[str, int]] = set()
         for prefix in prefixes:
-            doc_id, start = localize(prefix, self.indexes)
-            if (doc_id, start) in seen:
-                continue
-            seen.add((doc_id, start))
+            doc_id, start = localize(prefix)
             doc = corpus.document(doc_id)
             passage = extract_reference(doc, start, config.passage_len)
             if tuple(passage[: len(prefix.tokens)]) != tuple(prefix.tokens):
                 raise InternalInconsistencyError(
                     "extracted passage does not begin with its prefix"
                 )
-            score2 = prefix.score2
+            score2 = prefix.score
             if config.rescore_full_passage:
                 score2 = _rescore_passage(
                     passage, doc_id, self.indexes, stage2_prompt, self.scorer

@@ -29,7 +29,6 @@ from .corpus import END_ID, Corpus, TokenCodec
 
 STAGE_ONE = "stage-1"
 STAGE_TWO = "stage-2"
-_STAGES = (STAGE_ONE, STAGE_TWO, "eval")
 
 
 class ScorerError(RuntimeError):
@@ -49,15 +48,12 @@ class PromptTemplate:
     """A surface string with exactly one ``{}`` slot for the query."""
 
     template: str
-    stage: str = "eval"
 
     def __post_init__(self):
-        if self.template.count("{}") != 1:
+        if not isinstance(self.template, str) or self.template.count("{}") != 1:
             raise ValueError(
                 f"template needs exactly one {{}} slot: {self.template!r}"
             )
-        if self.stage not in _STAGES:
-            raise ValueError(f"unknown stage {self.stage!r}")
 
     def render(self, query: str) -> str:
         return self.template.replace("{}", query)
@@ -77,7 +73,7 @@ def default_templates() -> dict[str, dict[str, PromptTemplate]]:
     )
     return {
         task: {
-            stage: PromptTemplate(template=text, stage=stage)
+            stage: PromptTemplate(text)
             for stage, text in stages.items()
         }
         for task, stages in raw.items()

@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import shutil
 
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from passrecall import cli
 from passrecall.cli import main, run_recall_batch
 from passrecall.corpus import ingest_corpus
+from passrecall.fmindex import save_index
 from passrecall.pipeline import DeadEndError
 from passrecall.scorer import corpus_scorer
 from passrecall.storage import FORMAT_VERSION, MAGIC
@@ -30,7 +33,6 @@ METADATA_KEYS = {
     "config",
     "document_count",
     "scorer",
-    "strict_determinism",
     "tool_version",
 }
 
@@ -577,6 +579,80 @@ class TestRecall:
             (index_dir / other).write_bytes(content)
         assert recall_code(str(index_dir), workspace) in (2, 3)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wrong_suffix_array_is_an_internal_inconsistency(
+        self, tmp_path, capsys, monkeypatch, seed
+    ):
+        # A permutation passes the load checks, and build writes the
+        # manifest's digest over it, so only recall can tell it is wrong.
+        rng = random.Random(seed)
+
+        def save_shuffled(index, handle):
+            rest = list(index.sa[1:])
+            rng.shuffle(rest)
+            index.sa = [index.sa[0], *rest]
+            save_index(index, handle)
+
+        records = helpers.synthetic_records(num_docs=3, body_len=40, seed=seed)
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(
+            "".join(json.dumps(record) + "\n" for record in records),
+            encoding="utf-8",
+        )
+        index_dir = str(tmp_path / "artifacts")
+        monkeypatch.setattr(cli, "save_index", save_shuffled)
+        assert run_cli(["build", "--corpus", str(corpus_path), "--out", index_dir]) == 0
+        monkeypatch.undo()
+        corpus = ingest_corpus(records)
+        queries_path = tmp_path / "queries.txt"
+        queries_path.write_text(
+            "".join(
+                corpus.codec.decode(doc.body_tokens[5:15]) + "\n"
+                for doc in corpus.documents
+            ),
+            encoding="utf-8",
+        )
+        assert recall_code(index_dir, {"queries_path": str(queries_path)}) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"prefix_len": 2.5},
+            {"beam2": 1e9},
+            {"k": 2.5},
+            {"k": True},
+            {"passage_len": "150"},
+            {"alpha": "0.5"},
+            {"alpha": False},
+            {"rescore_full_passage": "no"},
+            {"stage1_template": 5},
+            {"stage2_template": "no slot"},
+            {"task": ["qa"]},
+        ],
+        ids=repr,
+    )
+    def test_config_value_of_the_wrong_type_is_a_data_error(
+        self, workspace, tmp_path, capsys, config
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code = run_cli(
+            [
+                "recall",
+                "--index-dir",
+                workspace["index_dir"],
+                "--queries",
+                workspace["queries_path"],
+                "--config",
+                str(config_path),
+                "--output",
+                str(tmp_path / "never.jsonl"),
+            ]
+        )
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_out_of_range_alpha_is_a_data_error(self, workspace, tmp_path):
         code = run_cli(
             [
@@ -612,23 +688,6 @@ class TestRemoteEndpoint:
         assert local_records == remote_records
         metadata = read_lines(remote)[0]["metadata"]
         assert metadata["scorer"]["type"] == "remote"
-
-    def test_strict_determinism_refuses_remote(self, workspace, tmp_path):
-        code = run_cli(
-            [
-                "recall",
-                "--index-dir",
-                workspace["index_dir"],
-                "--queries",
-                workspace["queries_path"],
-                "--scorer",
-                "remote",
-                "--endpoint",
-                "http://127.0.0.1:1/score",
-                "--strict-determinism",
-            ]
-        )
-        assert code == 2
 
     def test_remote_without_endpoint_is_a_data_error(self, workspace, monkeypatch):
         monkeypatch.delenv("PASSRECALL_ENDPOINT", raising=False)
@@ -778,6 +837,40 @@ class TestEvaluate:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["r_precision_mean"] == 100.0
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {},
+            [1],
+            {"query": "q", "references": 5},
+            {"query": "q", "references": [{}]},
+            {"query": 5, "references": []},
+            {"query": "q", "references": [{"doc_id": "d1", "passage_text": 7}]},
+        ],
+        ids=repr,
+    )
+    def test_malformed_record_is_a_data_error(self, tmp_path, caplog, record):
+        path = tmp_path / "malformed.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps(line) + "\n"
+                for line in ({"metadata": {}}, {"query": "q1", "references": []}, record)
+            ),
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.ERROR, logger="passrecall.cli"):
+            code = run_cli(
+                [
+                    "evaluate",
+                    "--recall-output",
+                    str(path),
+                    "--gold",
+                    self.write_gold(tmp_path),
+                ]
+            )
+        assert code == 2
+        assert any("line 3" in message for message in caplog.messages)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "headless.jsonl"

@@ -188,6 +188,10 @@ class TestTitleSearch:
             assert results, titles
             for result in results:
                 assert result.tokens in [tuple(t) for t in titles]
+                # Stage 1 takes its doc id from the final node, not a re-walk.
+                assert result.constraint.node.doc_id == trie.resolve_title(
+                    result.tokens
+                )
                 expected = oracle_title_score(
                     scorer, prompt, result.tokens, titles
                 )

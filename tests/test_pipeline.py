@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 import helpers
 import oracles
 from passrecall.corpus import ingest_corpus
-from passrecall.decode import SubstringConstraint
+from passrecall.decode import BeamResult, SubstringConstraint
 from passrecall.pipeline import (
     InternalInconsistencyError,
-    PrefixResult,
     RecallConfig,
     RecallEngine,
     StageOneResult,
@@ -57,26 +56,28 @@ class TestLocalize:
             ]
         )
 
-    def prefix(self, tokens, live_doc_ids):
-        return PrefixResult(tuple(tokens), -1.0, tuple(live_doc_ids))
+    def prefix(self, tokens, indexes, doc_ids):
+        """The stage-2 result for ``tokens`` decoded over ``doc_ids`` in order."""
+        state = SubstringConstraint([(d, indexes[d]) for d in doc_ids])
+        for token in tokens:
+            state = state.step(token)
+        return BeamResult(tuple(tokens), -1.0, state)
 
     def test_scans_documents_in_given_order(self):
         corpus = self.corpus()
         indexes = helpers.build_indexes(corpus)
         tokens = corpus.codec.encode("cat dog")
-        assert localize(self.prefix(tokens, ["d2", "d1"]), indexes) == ("d2", 1)
-        assert localize(self.prefix(tokens, ["d1", "d2"]), indexes) == ("d1", 0)
+        assert localize(self.prefix(tokens, indexes, ["d2", "d1"])) == ("d2", 1)
+        assert localize(self.prefix(tokens, indexes, ["d1", "d2"])) == ("d1", 0)
 
     def test_falls_through_to_later_documents(self):
+        # d1, selected first, dies at the prefix's first or second token.
         corpus = self.corpus()
         indexes = helpers.build_indexes(corpus)
-        tokens = corpus.codec.encode("bird")
-        assert localize(self.prefix(tokens, ["d1", "d2"]), indexes) == ("d2", 3)
-
-    def test_absent_prefix_is_internal_inconsistency(self):
-        indexes = helpers.build_indexes(self.corpus())
-        with pytest.raises(InternalInconsistencyError, match="not found"):
-            localize(self.prefix([99, 98], ["d1"]), indexes)
+        for text, start in (("bird", 3), ("dog bird", 2)):
+            prefix = self.prefix(corpus.codec.encode(text), indexes, ["d1", "d2"])
+            assert prefix.constraint.live_doc_ids() == ["d2"]
+            assert localize(prefix) == ("d2", start)
 
     def test_randomized_against_naive_scan(self):
         rng = random.Random(17)
@@ -104,7 +105,7 @@ class TestLocalize:
             docs = SubstringConstraint([(d, indexes[d]) for d in ordered])
             for token in prefix:
                 docs = docs.step(token)
-            got = localize(self.prefix(prefix, docs.live_doc_ids()), indexes)
+            got = localize(BeamResult(tuple(prefix), -1.0, docs))
             expected = None
             for doc_id in ordered:
                 occurrences = oracles.naive_locate(
@@ -138,7 +139,7 @@ class TestExtractReference:
     def test_out_of_range_start_rejected(self):
         doc = self.doc()
         for bad in (-1, len(doc.body_tokens)):
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(InternalInconsistencyError, match="out of range"):
                 extract_reference(doc, bad, 3)
 
 
@@ -258,7 +259,7 @@ class TestRecallPrefixes:
         )
         assert results
         assert results[0].tokens == tuple(planted_tokens)
-        assert results[0].live_doc_ids == ("d1",)
+        assert results[0].constraint.live_doc_ids() == ["d1"]
         # Exhaustive check: no length-8 substring of either body scores higher.
         bodies = [list(d.body_tokens) for d in corpus.documents]
         prompt = corpus.codec.encode("the quick silver owl")
@@ -274,7 +275,7 @@ class TestRecallPrefixes:
             )
             for seq in oracles.enumerate_substring_finishers(bodies, 8)
         )
-        assert abs(results[0].score2 - best) <= 1e-9
+        assert abs(results[0].score - best) <= 1e-9
 
     def test_missing_index_names_document(self):
         corpus, _, indexes, scorer = small_fixture(num_docs=3)
@@ -366,6 +367,41 @@ class TestRecallEndToEnd:
             references = engine.recall(query)
             assert references
             assert all(r.doc_id == "solo" for r in references)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bodies=st.lists(
+            st.lists(st.integers(0, 3), min_size=1, max_size=12),
+            min_size=1,
+            max_size=4,
+        ),
+        query=st.lists(st.integers(0, 3), max_size=4),
+        prefix_len=st.integers(1, 4),
+        beam2=st.integers(1, 20),
+        k=st.integers(1, 3),
+        trained=st.booleans(),
+    )
+    def test_references_never_share_a_position(
+        self, bodies, query, prefix_len, beam2, k, trained
+    ):
+        # Short bodies end inside most prefixes, so prefixes finish early
+        # as well as at prefix_len, and wide beams keep many of them.
+        def words(tokens):
+            return " ".join(f"w{t}" for t in tokens)
+
+        corpus = ingest_corpus(
+            {"id": f"d{i}", "title": f"title {i}", "text": [words(body)]}
+            for i, body in enumerate(bodies)
+        )
+        trie, indexes = helpers.build_artifacts(corpus)
+        scorer = corpus_scorer(corpus) if trained else NGramScorer()
+        config = helpers.plain_config(
+            k=k, beam2=beam2, prefix_len=prefix_len, passage_len=4
+        )
+        engine = RecallEngine(corpus, trie, indexes, scorer, config)
+        positions = [(r.doc_id, r.start) for r in engine.recall(words(query))]
+        assert positions
+        assert len(set(positions)) == len(positions)
 
 
 class TestConfig:

@@ -31,10 +31,6 @@ class TestPromptTemplate:
         with pytest.raises(ValueError, match="slot"):
             PromptTemplate("{} twice {}")
 
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError, match="stage"):
-            PromptTemplate("{}", "stage-9")
-
     def test_render_replaces_slot(self):
         assert PromptTemplate("Q: {} A:").render("x") == "Q: x A:"
 
@@ -61,8 +57,7 @@ class TestDefaultTemplates:
         assert sorted(templates) == ["dialogue", "fact", "qa"]
         for stages in templates.values():
             assert sorted(stages) == [STAGE_ONE, STAGE_TWO]
-            for stage, template in stages.items():
-                assert template.stage == stage
+            for template in stages.values():
                 assert template.template.count("{}") == 1
 
     def test_qa_stage1_text(self):
