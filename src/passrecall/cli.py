@@ -384,8 +384,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise DataError("no sweep values given")
 
-    artifacts = load_artifacts(args.index_dir)
+    # Every swept config is checked before the costly load and training.
     base_config = _build_config(args)
+    try:
+        configs = [replace(base_config, **{args.axis: value}) for value in values]
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad sweep value: {exc}") from exc
+    artifacts = load_artifacts(args.index_dir)
     scorer, _ = _make_scorer(args, artifacts)
     items = load_gold(args.gold)
     queries = [item.query for item in items]
@@ -393,8 +398,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([args.axis, "r_precision", "in_context"])
-    for value in values:
-        config = replace(base_config, **{args.axis: value})
+    for value, config in zip(values, configs):
         engine = RecallEngine(
             artifacts.corpus, artifacts.trie, artifacts.indexes, scorer, config
         )

@@ -102,18 +102,12 @@ class NGramScorer:
     Streams are counted into one ``Counter`` per context length, keyed by
     the packed n-gram: 32 bits per token, oldest token highest.  The first
     lookup packs each counter into sorted arrays and drops it; a scorer
-    takes no streams after that.  Each context's rows are contiguous in
-    ``toks``/``counts``, and offset arrays (CSR) say where they start:
-
-    - length 0: ``(toks, counts)``, all rows;
-    - length 1: ``(toks, counts, first)``, rows of context ``a`` at
-      ``first[a]:first[a+1]``;
-    - length 2: ``(toks, counts, first, second, start)``; ``first[a]``
-      bounds the slice of ``second`` holding the ``b`` of every seen ``(a,
-      b)``, and the ``i``-th pair's rows are ``start[i]:start[i+1]``.
-
-    More context levels would need another offset level, so the order stops
-    at 3.
+    takes no streams after that.  Every context length has the same CSR
+    table, ``(contexts, start, toks, counts)``: ``contexts`` holds the
+    distinct packed contexts in sorted order (length 0 has the single key
+    0), and the rows of ``contexts[i]`` are ``start[i]:start[i+1]`` of
+    ``toks``/``counts``.  Two context tokens fill a u64 key, so the order
+    stops at 3.
     """
 
     def __init__(self, order: int = 3):
@@ -135,8 +129,7 @@ class NGramScorer:
     def _pack(self, levels: int) -> None:
         """Pack the counters of the context lengths below ``levels``."""
         while len(self._tables) < levels:
-            ctx_len = len(self._tables)
-            self._tables.append(_table(self._grams[ctx_len], ctx_len))
+            self._tables.append(_table(self._grams[len(self._tables)]))
 
     def log_probs(
         self, context: Sequence[int], candidates: Iterable[int]
@@ -151,34 +144,19 @@ class NGramScorer:
             # Over 90% of decoding's calls are these forced steps.
             return {cands[0]: 0.0}
         use = min(self.order - 1, len(context))
-        table = self._tables[use]
-        toks, seen = table[0], table[1]
-        # Narrow [lo, hi) to the rows of the last ``use`` context tokens.
-        lo, hi = 0, len(toks)
-        if use:
-            first = table[2]
-            a = context[-use]
-            if 0 <= a < len(first) - 1:
-                lo, hi = first[a], first[a + 1]
-            else:
-                hi = 0
-            if use == 2 and lo < hi:
-                second = table[3]
-                b = context[-1]
-                i = bisect_left(second, b, lo, hi)
-                if i < hi and second[i] == b:
-                    start = table[4]
-                    lo, hi = start[i], start[i + 1]
-                else:
-                    lo = hi = 0
-        if hi - lo <= len(cands):
-            found = dict(zip(toks[lo:hi], seen[lo:hi]))
-            counts = list(map(found.get, cands, repeat(0)))
-        else:
-            counts = []
-            for c in cands:
-                lo = bisect_left(toks, c, lo, hi)
-                counts.append(seen[lo] if lo < hi and toks[lo] == c else 0)
+        contexts, start, toks, seen = self._tables[use]
+        key = 0
+        for tok in context[len(context) - use :]:
+            if not 0 <= tok <= _MASK:
+                key = -1  # packing it would alias another context
+                break
+            key = key << 32 | tok
+        i = bisect_left(contexts, key)
+        lo = hi = 0
+        if i < len(contexts) and contexts[i] == key:
+            lo, hi = start[i], start[i + 1]
+        found = dict(zip(toks[lo:hi], seen[lo:hi]))
+        counts = list(map(found.get, cands, repeat(0)))
         denom = sum(counts) + len(cands)
         # Wide sets repeat few counts (most are 0): one log per distinct count.
         logs = {n: math.log((n + 1) / denom) for n in set(counts)}
@@ -193,34 +171,22 @@ def _packed(tokens: Sequence[int], n: int) -> Iterable[int]:
     return keys
 
 
-def _offsets(groups: list[int]) -> array:
-    """CSR offsets over sorted ``groups``: group g's entries start at out[g]."""
-    size = groups[-1] + 1 if groups else 0
-    return array("I", map(bisect_left, repeat(groups), range(size + 1)))
-
-
-def _table(grams: Counter, ctx_len: int) -> tuple:
-    """One context length's lookup table; see ``NGramScorer``.  Empties
+def _table(grams: Counter) -> tuple:
+    """One context length's CSR table; see ``NGramScorer``.  Empties
     ``grams`` as soon as it is read, to keep the peak low."""
     keys = sorted(grams)
     wide = max(grams.values(), default=0) > _MASK
     counts = array("Q" if wide else "I", map(grams.__getitem__, keys))
     grams.clear()
     toks = array("I", map(and_, keys, repeat(_MASK)))
-    if ctx_len == 0:
-        return toks, counts
-    contexts = list(map(rshift, keys, repeat(32)))
+    rows = list(map(rshift, keys, repeat(32)))
     del keys
-    if ctx_len == 1:
-        return toks, counts, _offsets(contexts)
-    # Row i opens a new (a, b) pair where its context differs from row i-1's.
-    opens = [True, *map(ne, contexts[1:], contexts)]
-    start = array("I", compress(range(len(contexts)), opens))
-    start.append(len(contexts))
-    pairs = list(compress(contexts, opens))
-    second = array("I", map(and_, pairs, repeat(_MASK)))
-    first = _offsets(list(map(rshift, pairs, repeat(32))))
-    return toks, counts, first, second, start
+    # Row i opens a new context where its context differs from row i-1's.
+    opens = [True, *map(ne, rows[1:], rows)]
+    start = array("I", compress(range(len(rows)), opens))
+    start.append(len(rows))
+    contexts = array("Q", compress(rows, opens))
+    return contexts, start, toks, counts
 
 
 def corpus_scorer(corpus: Corpus) -> NGramScorer:

@@ -5,6 +5,8 @@ import logging
 import os
 import random
 import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -939,6 +941,27 @@ class TestSweep:
         assert float(row[1]) == payload["r_precision_mean"]
         assert float(row[2]) == payload["in_context_rate"]
 
+    @pytest.mark.parametrize("axis, value", [("k", "0"), ("prefix_len", "500")])
+    def test_invalid_swept_value_exits_before_loading(
+        self, workspace, monkeypatch, capsys, axis, value
+    ):
+        monkeypatch.setattr(cli, "load_artifacts", lambda *_: pytest.fail("loaded"))
+        code = run_cli(
+            [
+                "sweep",
+                "--index-dir",
+                workspace["index_dir"],
+                "--gold",
+                workspace["gold_path"],
+                "--axis",
+                axis,
+                "--values",
+                f"2,{value}",
+            ]
+        )
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_axis_rejected_by_parser(self, workspace):
         code = run_cli(
             [
@@ -965,3 +988,18 @@ class TestUsage:
 
     def test_missing_required_argument_exits_one(self):
         assert run_cli(["build", "--corpus", "x.jsonl"]) == 1
+
+
+def test_cli_imports_no_numpy():
+    # numpy is installed here but is not a declared dependency.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    probe = "import sys, passrecall.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"

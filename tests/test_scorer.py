@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -80,27 +80,13 @@ def packed_counts(scorer):
     the oracle's layout."""
     scorer.log_probs([], {END_ID})  # packs any counted streams
     out = []
-    for ctx_len, table in enumerate(scorer._tables):
-        toks, counts = table[:2]
-        if ctx_len == 0:
-            spans = [((), 0, len(toks))] if toks else []
-        elif ctx_len == 1:
-            first = table[2]
-            spans = [((a,), first[a], first[a + 1]) for a in range(len(first) - 1)]
-        else:
-            first, second, start = table[2:]
-            spans = [
-                ((a, second[i]), start[i], start[i + 1])
-                for a in range(len(first) - 1)
-                for i in range(first[a], first[a + 1])
-            ]
-        out.append(
-            {
-                ctx: dict(zip(toks[lo:hi], counts[lo:hi]))
-                for ctx, lo, hi in spans
-                if hi > lo
-            }
-        )
+    for ctx_len, (contexts, start, toks, counts) in enumerate(scorer._tables):
+        table = {}
+        for i, key in enumerate(contexts):
+            ctx = tuple(key >> 32 * k & 0xFFFFFFFF for k in range(ctx_len)[::-1])
+            rows = slice(start[i], start[i + 1])
+            table[ctx] = dict(zip(toks[rows], counts[rows]))
+        out.append(table)
     return out
 
 
@@ -111,8 +97,8 @@ def streamed(streams, order=3):
     return oracle
 
 
-# Small ids collide often enough to share contexts; the huge ones lie far
-# beyond every offsets array.
+# Small ids collide often enough to share contexts; ids of 2**32 and above
+# must match no context, where packing them would alias a small one.
 any_token = st.one_of(
     st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=2**40)
 )
@@ -160,6 +146,12 @@ class TestNGramScorer:
         wide=st.one_of(st.just(0), st.integers(min_value=65, max_value=400)),
     )
     @settings(max_examples=300, deadline=None)
+    # Context tokens outside 32 bits, which a packed key would alias onto
+    # the trained context (1, 5), score as an unseen context.
+    @example(order=3, streams=[[1, 5, 7]], context=[0, 2**32 + 5], cands={7, 8},
+             with_end=False, wide=0)
+    @example(order=3, streams=[[1, 5, 7]], context=[1, 5 - 2**32], cands={7, 8},
+             with_end=False, wide=0)
     def test_log_probs_match_the_streaming_oracle(
         self, order, streams, context, cands, with_end, wide
     ):
