@@ -52,24 +52,19 @@ class TokenCodec:
     """Bidirectional mapping between surface strings and token ids.
 
     Concrete codecs differ in how they segment text; all of them share the
-    reserved-id convention and the id<->surface tables.  ``encode`` never
-    emits ids 0 or 1; unknown surface forms map to id 2 once the codec is
-    frozen.
+    reserved-id convention and the id<->surface tables, which are complete
+    once the codec is made: the ``i``-th surface gets id ``FIRST_ID + i``.
+    ``encode`` never emits ids 0 or 1; unknown surface forms map to id 2.
     """
 
     kind = "abstract"
     policy = "abstract"
 
-    def __init__(self) -> None:
-        self._surfaces: list[str] = []
-        self._ids: dict[str, int] = {}
-        self._frozen = False
+    def __init__(self, surfaces: Sequence[str]) -> None:
+        self._surfaces = list(surfaces)
+        self._ids = {s: FIRST_ID + i for i, s in enumerate(self._surfaces)}
 
     # -- vocabulary ---------------------------------------------------------
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     @property
     def vocab_size(self) -> int:
@@ -98,14 +93,10 @@ class TokenCodec:
             digest.update(surface.encode("utf-8"))
         return digest.hexdigest()
 
-    def _install_vocab(self, surfaces: Sequence[str]) -> None:
-        self._surfaces = list(surfaces)
-        self._ids = {s: FIRST_ID + i for i, s in enumerate(self._surfaces)}
-        self._frozen = True
-
     # -- text ---------------------------------------------------------------
 
-    def normalize_text(self, text: str) -> str:
+    @staticmethod
+    def normalize_text(text: str) -> str:
         raise NotImplementedError
 
     def encode(self, text: str) -> list[int]:
@@ -127,42 +118,16 @@ class WordCodec(TokenCodec):
     kind = "word"
     policy = "word:nfc,ws-collapse,punct-split,case-preserve"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._building: set[str] = set()
-
-    @classmethod
-    def from_vocab(cls, surfaces: Sequence[str]) -> "WordCodec":
-        codec = cls()
-        codec._install_vocab(surfaces)
-        return codec
-
     @classmethod
     def build(cls, texts: Iterable[str]) -> "WordCodec":
-        codec = cls()
-        for text in texts:
-            codec.add_text(text)
-        codec.freeze()
-        return codec
+        """Codec over every surface of ``texts``, ids in sorted surface order."""
+        return cls(sorted({s for text in texts for s in split_text(text)}))
 
-    def add_text(self, text: str) -> None:
-        if self._frozen:
-            raise ValueError("codec is frozen; cannot add vocabulary")
-        self._building.update(split_text(text))
-
-    def freeze(self) -> None:
-        """Assign ids in sorted surface order and seal the vocabulary."""
-        if self._frozen:
-            return
-        self._install_vocab(sorted(self._building))
-        self._building = set()
-
-    def normalize_text(self, text: str) -> str:
+    @staticmethod
+    def normalize_text(text: str) -> str:
         return " ".join(split_text(text))
 
     def encode(self, text: str) -> list[int]:
-        if not self._frozen:
-            raise ValueError("codec must be frozen before encoding")
         return [self._ids.get(t, UNK_ID) for t in split_text(text)]
 
     def decode(self, tokens: Sequence[int]) -> str:
@@ -185,17 +150,13 @@ class PieceCodec(TokenCodec):
     policy = "piece:nfc,ws-collapse,greedy-longest,case-preserve"
 
     def __init__(self, pieces: Sequence[str]):
-        super().__init__()
         if len(set(pieces)) != len(pieces):
             raise ValueError("duplicate pieces in vocabulary")
-        self._install_vocab(pieces)
+        super().__init__(pieces)
         self._max_piece_len = max((len(p) for p in pieces), default=0)
 
-    @classmethod
-    def from_vocab(cls, surfaces: Sequence[str]) -> "PieceCodec":
-        return cls(surfaces)
-
-    def normalize_text(self, text: str) -> str:
+    @staticmethod
+    def normalize_text(text: str) -> str:
         return " ".join(unicodedata.normalize("NFC", text).split())
 
     def encode(self, text: str) -> list[int]:
@@ -266,32 +227,28 @@ def ingest_corpus(
 
     Each record needs a non-empty ``title``, an ``id``, and ``text``: an
     array of passage fragments whose array order is the document order.
-    Fragments are joined with single spaces.  When ``codec`` is omitted a
-    word codec is built from every title and body; a supplied codec must be
-    frozen and must cover the corpus (unknown tokens in a body are an
+    Fragments are joined with single spaces.  A record whose body is only
+    whitespace is skipped and stays out of the vocabulary.  When ``codec``
+    is omitted a word codec is built from every kept title and body; a
+    supplied codec must cover the corpus (unknown tokens in a body are an
     error, since bodies may not contain reserved ids).
     """
+    # Normalization needs no vocabulary, so titles are checked before the
+    # codec exists.
+    normalize_text = (codec or WordCodec).normalize_text
     staged = []
     seen_titles: dict[str, str] = {}
-    seen_ids: dict[str, None] = {}
+    seen_ids: set[str] = set()
     skipped = 0
-
-    build_codec = codec is None
-    if build_codec:
-        codec = WordCodec()
-    elif not codec.frozen:
-        raise IngestError("supplied codec must be frozen")
-
     for position, record in enumerate(records):
         doc_id, title, fragments = _validate_record(position, record)
         body = " ".join(fragments)
-        norm_title = codec.normalize_text(title)
-        if not norm_title:
-            raise IngestError(f"record {doc_id!r}: title is empty")
-        if not codec.normalize_text(body):
+        # Equals ``normalize_text(body) == ""`` for both codecs.
+        if not body.strip():
             logger.warning("record %r: empty body, skipped", doc_id)
             skipped += 1
             continue
+        norm_title = normalize_text(title)
         if norm_title in seen_titles:
             raise IngestError(
                 f"duplicate title {norm_title!r} in records "
@@ -300,23 +257,22 @@ def ingest_corpus(
         if doc_id in seen_ids:
             raise IngestError(f"duplicate document id {doc_id!r}")
         seen_titles[norm_title] = doc_id
-        seen_ids[doc_id] = None
+        seen_ids.add(doc_id)
         staged.append((doc_id, norm_title, body))
-        if build_codec:
-            codec.add_text(title)
-            codec.add_text(body)
 
     if not staged:
         raise IngestError("corpus contains no usable documents")
-    if build_codec:
-        codec.freeze()
+    if codec is None:
+        codec = WordCodec.build(
+            text for _, title, body in staged for text in (title, body)
+        )
 
     documents = []
     for doc_id, title, body in staged:
         title_tokens = tuple(codec.encode(title))
         body_tokens = tuple(codec.encode(body))
         for name, tokens in (("title", title_tokens), ("body", body_tokens)):
-            if any(t < FIRST_ID for t in tokens):
+            if UNK_ID in tokens:
                 raise IngestError(
                     f"record {doc_id!r}: {name} contains tokens outside the "
                     "codec vocabulary"
@@ -364,8 +320,8 @@ def iter_jsonl_records(path: str) -> Iterator[Mapping]:
             yield obj
 
 
-def load_jsonl_corpus(path: str, codec: TokenCodec | None = None) -> Corpus:
-    return ingest_corpus(iter_jsonl_records(path), codec=codec)
+def load_jsonl_corpus(path: str) -> Corpus:
+    return ingest_corpus(iter_jsonl_records(path))
 
 
 # -- persistence ------------------------------------------------------------
@@ -397,7 +353,7 @@ def load_corpus(handle: BinaryIO) -> Corpus:
     if kind not in _CODEC_KINDS:
         raise IngestError(f"unknown codec kind {kind!r}")
     surfaces = [reader.text() for _ in range(reader.u64())]
-    codec = _CODEC_KINDS[kind].from_vocab(surfaces)
+    codec = _CODEC_KINDS[kind](surfaces)
     if codec.policy != policy:
         raise IngestError(
             f"codec policy mismatch: file says {policy!r}, "

@@ -152,19 +152,14 @@ def recall_titles(
 def select_documents(
     results: Sequence[StageOneResult], k: int
 ) -> list[StageOneResult]:
-    """Top-k distinct documents in stage-1 score order."""
+    """Top-k documents in stage-1 score order.
+
+    Stage 1 never names a document twice: finished titles are distinct
+    token sequences, and each terminal node names one document.
+    """
     if not results:
         raise ValueError("no stage-1 results to select from")
-    chosen: list[StageOneResult] = []
-    seen: set[str] = set()
-    for result in results:
-        if result.doc_id in seen:
-            continue
-        seen.add(result.doc_id)
-        chosen.append(result)
-        if len(chosen) == k:
-            break
-    return chosen
+    return list(results[:k])
 
 
 def recall_prefixes(
@@ -274,7 +269,8 @@ class RecallEngine:
         if not prefixes:
             raise DeadEndError("no prefix could be generated for this query")
         score1_by_doc = {r.doc_id: r.score1 for r in selected}
-        stage2_prompt = render_prompt(config.stage2_template, query, corpus.codec)
+        if config.rescore_full_passage:
+            stage2_prompt = render_prompt(config.stage2_template, query, corpus.codec)
 
         # Two prefixes never share a position, so references need no dedupe.
         # Decoded prefixes are distinct token sequences, and one shorter than

@@ -28,7 +28,6 @@ class TestSelectDocuments:
     def results(self):
         return [
             StageOneResult("T1", "d1", -0.1),
-            StageOneResult("T1b", "d1", -0.2),
             StageOneResult("T2", "d2", -0.3),
             StageOneResult("T3", "d3", -0.4),
         ]
@@ -221,6 +220,35 @@ class TestRecallTitles:
                 for t in titles
             )
             assert abs(results[0].score1 - expected) <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        titles=st.lists(
+            st.lists(st.integers(0, 3), min_size=1, max_size=4),
+            min_size=1,
+            max_size=8,
+            unique_by=tuple,
+        ),
+        query=st.lists(st.integers(0, 3), max_size=4),
+        beam1=st.integers(1, 40),
+    )
+    def test_never_names_a_document_twice(self, titles, query, beam1):
+        # Four words make titles that share prefixes or nest in one another,
+        # so finished titles end at inner trie nodes as well as at leaves.
+        def words(tokens):
+            return " ".join(f"w{t}" for t in tokens)
+
+        corpus = ingest_corpus(
+            {"id": f"d{i}", "title": words(title), "text": ["body words"]}
+            for i, title in enumerate(titles)
+        )
+        trie, _ = helpers.build_artifacts(corpus)
+        config = helpers.plain_config(beam1=beam1)
+        results = recall_titles(
+            words(query), corpus, trie, corpus_scorer(corpus), config
+        )
+        doc_ids = [r.doc_id for r in results]
+        assert len(set(doc_ids)) == len(doc_ids)
 
     def test_results_sorted_by_score(self):
         corpus, trie, _, scorer = small_fixture()
