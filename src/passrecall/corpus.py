@@ -4,8 +4,8 @@ Records arrive as JSON lines with ``id``, ``title``, and ``text`` (an ordered
 array of passage fragments).  Fragments are merged into one complete document
 per record, and a shared token codec is built over all titles and bodies so
 constraints, scorers, and indexes agree on the token alphabet.  A document
-keeps its body only as token ids; passage text is decoded from them, so a
-passage is always an exact slice of the indexed body.
+keeps its body only as token ids, in an ``array('I')``; passage text is
+decoded from them, so a passage is always an exact slice of the indexed body.
 
 Token ids 0, 1, 2 are reserved: 0 ends a generated sequence, 1 is the index
 sentinel (sorts below every real token), 2 is the unknown token.  Real tokens
@@ -19,7 +19,10 @@ import json
 import logging
 import re
 import unicodedata
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from .storage import KIND_CORPUS, Reader, Writer
@@ -74,8 +77,8 @@ class TokenCodec:
     def surface(self, token_id: int) -> str:
         if token_id == UNK_ID:
             return UNK_SURFACE
-        if token_id in (END_ID, SENTINEL_ID):
-            raise ValueError(f"reserved id {token_id} has no surface form")
+        if token_id < FIRST_ID:
+            raise ValueError(f"id {token_id} is reserved or negative: no surface")
         return self._surfaces[token_id - FIRST_ID]
 
     def surfaces(self) -> list[str]:
@@ -131,7 +134,11 @@ class WordCodec(TokenCodec):
         return [self._ids.get(t, UNK_ID) for t in split_text(text)]
 
     def decode(self, tokens: Sequence[int]) -> str:
-        return " ".join(self.surface(t) for t in tokens)
+        if min(tokens, default=FIRST_ID) >= FIRST_ID:
+            # No unknown or reserved id: index the surfaces directly.
+            offsets = map(sub, tokens, repeat(FIRST_ID))
+            return " ".join(map(self._surfaces.__getitem__, offsets))
+        return " ".join(map(self.surface, tokens))
 
 
 class PieceCodec(TokenCodec):
@@ -199,7 +206,7 @@ class Document:
     doc_id: str
     title: str
     title_tokens: tuple[int, ...]
-    body_tokens: tuple[int, ...]
+    body_tokens: array
 
 
 @dataclass
@@ -270,7 +277,7 @@ def ingest_corpus(
     documents = []
     for doc_id, title, body in staged:
         title_tokens = tuple(codec.encode(title))
-        body_tokens = tuple(codec.encode(body))
+        body_tokens = array("I", codec.encode(body))
         for name, tokens in (("title", title_tokens), ("body", body_tokens)):
             if UNK_ID in tokens:
                 raise IngestError(
@@ -365,6 +372,6 @@ def load_corpus(handle: BinaryIO) -> Corpus:
         doc_id = reader.text()
         title = reader.text()
         title_tokens = tuple(reader.u32_seq())
-        body_tokens = tuple(reader.u32_seq())
+        body_tokens = reader.u32_array()
         documents.append(Document(doc_id, title, title_tokens, body_tokens))
     return Corpus(documents=documents, codec=codec, skipped_empty=skipped_empty)

@@ -5,16 +5,17 @@ with a full suffix array retained for exact locate.  Every index is built
 over the *reversed* body, so appending a token to a left-to-right generated
 prefix is one backward-extension step, while patterns and positions stay in
 the body's own left-to-right coordinates.  Backward extension is a pair of
-rank queries answered by binary search over per-symbol occurrence lists;
-the tokens that can follow a prefix are the distinct symbols in its BWT
-rows, read from the C table for the full range and by one scan of the rows
-for any narrower one.  An index section stores only the document id and
-the suffix array; ``load_index`` rebuilds the BWT and rank tables from it
-and the body tokens.
+rank queries answered by binary search inside one symbol's group of BWT
+rows; the tokens that can follow a prefix are the distinct symbols in its
+BWT rows, read from the symbol table for the full range and by one scan of
+the rows for any narrower one.  Every table is a flat ``array('I')``.  An
+index section stores only the document id and the suffix array;
+``load_index`` rebuilds the BWT and rank tables from it and the body tokens.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from typing import BinaryIO, NamedTuple, Sequence
@@ -56,10 +57,10 @@ def build_suffix_array(tokens: Sequence[int]) -> list[int]:
     return sa
 
 
-def bwt_from_sa(tokens: Sequence[int], sa: Sequence[int]) -> list[int]:
+def bwt_from_sa(tokens: Sequence[int], sa: Sequence[int]) -> array:
     """Last column of the sorted rotations: text[sa[i]-1], sentinel at sa[i]=0."""
     last = [SENTINEL_ID, *tokens]  # last[pos] == text[pos - 1]
-    return list(map(last.__getitem__, sa))
+    return array("I", map(last.__getitem__, sa))
 
 
 class SearchRange(NamedTuple):
@@ -84,45 +85,50 @@ class BWTIndex:
     """FM-index over one document's reversed token sequence.
 
     Patterns and positions are expressed in original (unreversed)
-    coordinates; the reversal is handled internally.
+    coordinates; the reversal is handled internally.  ``occ`` holds the BWT
+    rows grouped by symbol, ascending within each group; ``symbols`` holds
+    the sorted distinct symbols, and the group of ``symbols[i]`` is
+    ``occ[bounds[i]:bounds[i + 1]]``.  So ``bounds[i]`` is the C-table entry
+    of ``symbols[i]``, and a row's place in ``occ`` is its LF-mapped row.
     """
 
     def __init__(
-        self, tokens: Sequence[int], sa: Sequence[int], doc_id: str | None = None
+        self, tokens: Sequence[int], sa: array, doc_id: str | None = None
     ):
         """``sa`` is the suffix array of ``tokens`` reversed."""
         self.bwt = bwt_from_sa(tokens[::-1], sa)
         self.sa = sa
         self.text_len = len(tokens)
         self.doc_id = doc_id
-        occ: dict[int, list[int]] = defaultdict(list)
+        groups: dict[int, list[int]] = defaultdict(list)
         for row, symbol in enumerate(self.bwt):
-            occ[symbol].append(row)
-        self.occ = dict(occ)
-        self.c_table = {}
-        running = 0
-        for symbol in sorted(occ):
-            self.c_table[symbol] = running
-            running += len(occ[symbol])
+            groups[symbol].append(row)
+        self.symbols = array("I", sorted(groups))
+        self.occ = array("I")
+        self.bounds = array("I", [0])
+        for symbol in self.symbols:
+            self.occ.extend(groups[symbol])
+            self.bounds.append(len(self.occ))
+        self._full_range = SearchRange(0, len(self.bwt))
 
     @classmethod
     def build(cls, tokens: Sequence[int], doc_id: str | None = None) -> "BWTIndex":
         if any(t < FIRST_ID for t in tokens):
             raise ValueError("document tokens may not contain reserved ids")
-        return cls(tokens, build_suffix_array(tokens[::-1]), doc_id)
+        return cls(tokens, array("I", build_suffix_array(tokens[::-1])), doc_id)
 
     def full_range(self) -> SearchRange:
-        return SearchRange(0, len(self.bwt))
+        return self._full_range
 
     def backward_extend(self, rng: SearchRange, symbol: int) -> SearchRange:
         """Narrow ``rng`` to the rows whose suffixes start with symbol+pattern."""
-        base = self.c_table.get(symbol)
-        if base is None:
+        symbols = self.symbols
+        i = bisect_left(symbols, symbol)
+        if i == len(symbols) or symbols[i] != symbol:
             return EMPTY_RANGE
-        positions = self.occ[symbol]
+        occ, lo, hi = self.occ, self.bounds[i], self.bounds[i + 1]
         return SearchRange(
-            base + bisect_left(positions, rng.lo),
-            base + bisect_left(positions, rng.hi),
+            bisect_left(occ, rng.lo, lo, hi), bisect_left(occ, rng.hi, lo, hi)
         )
 
     def range_successors(self, rng: SearchRange) -> set[int]:
@@ -130,10 +136,10 @@ class BWTIndex:
         backward extension of ``rng`` is nonempty.
 
         The full range holds every symbol, so its answer is read from
-        ``c_table``; any other range is one scan of its BWT rows.
+        ``symbols``; any other range is one scan of its BWT rows.
         """
-        if rng == self.full_range():
-            successors = set(self.c_table)
+        if rng == self._full_range:
+            successors = set(self.symbols)
         else:
             successors = set(self.bwt[rng.lo : rng.hi])
         successors.discard(SENTINEL_ID)
@@ -181,7 +187,7 @@ def load_index(handle: BinaryIO, doc: Document) -> BWTIndex:
     reader = Reader(handle)
     reader.header(KIND_FMINDEX)
     doc_id = reader.text()
-    sa = reader.u32_seq()
+    sa = reader.u32_array()
     rows = len(doc.body_tokens) + 1
     # n+1 distinct entries, none above n, are exactly 0..n.
     is_permutation = len(sa) == rows and max(sa) < rows and len(set(sa)) == rows

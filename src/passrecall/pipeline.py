@@ -12,6 +12,7 @@ score2 and references are ranked by the combined value.
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -114,8 +115,9 @@ class Reference:
     doc_id: str
     title: str
     start: int
-    prefix: tuple[int, ...]
-    passage: tuple[int, ...]
+    # Both are slices of the document's body array.
+    prefix: array
+    passage: array
     passage_text: str
     score1: float
     score2: float
@@ -206,7 +208,7 @@ def localize(prefix: BeamResult) -> tuple[str, int]:
     return doc_id, index.starts(rng, len(prefix.tokens))[0]
 
 
-def extract_reference(doc: Document, start: int, passage_len: int) -> tuple[int, ...]:
+def extract_reference(doc: Document, start: int, passage_len: int) -> array:
     """Passage slice [start, start + passage_len), clamped at document end.
 
     A start outside the body means the index and the text disagree.
@@ -215,7 +217,7 @@ def extract_reference(doc: Document, start: int, passage_len: int) -> tuple[int,
         raise InternalInconsistencyError(
             f"start {start} out of range for {doc.doc_id!r}"
         )
-    return tuple(doc.body_tokens[start : start + passage_len])
+    return doc.body_tokens[start : start + passage_len]
 
 
 def combine_scores(score1: float, score2: float, alpha: float) -> float:
@@ -281,7 +283,8 @@ class RecallEngine:
             doc_id, start = localize(prefix)
             doc = corpus.document(doc_id)
             passage = extract_reference(doc, start, config.passage_len)
-            if tuple(passage[: len(prefix.tokens)]) != tuple(prefix.tokens):
+            head = passage[: len(prefix.tokens)]
+            if tuple(head) != prefix.tokens:
                 raise InternalInconsistencyError(
                     "extracted passage does not begin with its prefix"
                 )
@@ -296,7 +299,7 @@ class RecallEngine:
                     doc_id=doc_id,
                     title=doc.title,
                     start=start,
-                    prefix=prefix.tokens,
+                    prefix=head,
                     passage=passage,
                     passage_text=corpus.codec.decode(passage),
                     score1=score1,

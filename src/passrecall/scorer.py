@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import compress, islice, repeat
 from operator import and_, lshift, ne, or_, rshift
-from typing import Iterable, Mapping, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 from .corpus import END_ID, Corpus, TokenCodec
+
+if TYPE_CHECKING:
+    import requests
 
 STAGE_ONE = "stage-1"
 STAGE_TWO = "stage-2"
@@ -245,6 +246,8 @@ class RemoteScorer:
     "..."}; response: {"logprobs": {"<token id>": float, ...}}.  Connection
     failures, timeouts, and 5xx answers are retried; a 4xx answer means the
     two sides disagree (usually on the vocabulary) and is raised immediately.
+    Only this scorer uses ``requests``, so it imports it when made and the
+    CLI starts without it.
     """
 
     def __init__(
@@ -255,6 +258,8 @@ class RemoteScorer:
         retries: int = 2,
         session: requests.Session | None = None,
     ):
+        import requests
+
         self.endpoint = endpoint
         self.vocab_hash = vocab_hash
         self.timeout = timeout
@@ -264,6 +269,8 @@ class RemoteScorer:
     def log_probs(
         self, context: Sequence[int], candidates: Iterable[int]
     ) -> dict[int, float]:
+        import requests
+
         cands = sorted(set(candidates))
         if not cands:
             raise ValueError("candidates must be nonempty")

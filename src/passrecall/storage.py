@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import io
 import struct
+import sys
+from array import array
 from typing import BinaryIO, Sequence
 
 MAGIC = b"MREF"
@@ -22,6 +24,9 @@ FORMAT_VERSION = 3
 KIND_CORPUS = b"CORP"
 KIND_TRIE = b"TRIE"
 KIND_FMINDEX = b"FMIX"
+
+# u32 sequences are stored little-endian; arrays hold them in host order.
+_SWAP = sys.byteorder == "big"
 
 
 class StorageError(ValueError):
@@ -56,8 +61,11 @@ class Writer:
         self.raw(value.encode("utf-8"))
 
     def u32_seq(self, values: Sequence[int]) -> None:
-        self.u64(len(values))
-        self._stream.write(struct.pack(f"<{len(values)}I", *values))
+        packed = array("I", values)  # raises on a value outside [0, 2**32)
+        if _SWAP:
+            packed.byteswap()
+        self.u64(len(packed))
+        self._stream.write(packed.tobytes())
 
 
 class Reader:
@@ -107,5 +115,11 @@ class Reader:
         return self.raw().decode("utf-8")
 
     def u32_seq(self) -> list[int]:
-        count = self.u64()
-        return list(struct.unpack(f"<{count}I", self._take(4 * count)))
+        return self.u32_array().tolist()
+
+    def u32_array(self) -> array:
+        values = array("I")
+        values.frombytes(self._take(4 * self.u64()))
+        if _SWAP:
+            values.byteswap()
+        return values

@@ -47,6 +47,19 @@ def naive_bwt_inverse(bwt: Sequence[int]) -> list[int]:
     return out
 
 
+def naive_backward_extend(
+    bwt: Sequence[int], lo: int, hi: int, symbol: int
+) -> tuple[int, int] | None:
+    """LF-mapping of rows [lo, hi) through ``symbol``, from the textbook
+    definition: C(symbol) plus the symbol's rank at each end.  ``None`` when
+    no row of the range holds the symbol."""
+    bwt = list(bwt)
+    below = sum(1 for x in bwt if x < symbol)
+    new_lo = below + bwt[:lo].count(symbol)
+    new_hi = below + bwt[:hi].count(symbol)
+    return (new_lo, new_hi) if new_lo < new_hi else None
+
+
 def naive_count(text: Sequence[int], pattern: Sequence[int]) -> int:
     return len(naive_locate(text, pattern))
 

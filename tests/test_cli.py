@@ -990,11 +990,12 @@ class TestUsage:
         assert run_cli(["build", "--corpus", "x.jsonl"]) == 1
 
 
-def test_cli_imports_no_numpy():
-    # numpy is installed here but is not a declared dependency.
+def _cli_imports(module: str) -> str:
+    """``True`` or ``False`` and a newline: whether importing
+    ``passrecall.cli`` in a fresh interpreter imports ``module``."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    probe = "import sys, passrecall.cli; print('numpy' in sys.modules)"
+    probe = f"import sys, passrecall.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": path},
@@ -1002,4 +1003,14 @@ def test_cli_imports_no_numpy():
         text=True,
         check=True,
     )
-    assert result.stdout == "False\n"
+    return result.stdout
+
+
+def test_cli_imports_no_numpy():
+    # numpy is installed here but is not a declared dependency.
+    assert _cli_imports("numpy") == "False\n"
+
+
+def test_cli_imports_no_requests():
+    # Only the remote scorer uses requests; it imports it when made.
+    assert _cli_imports("requests") == "False\n"

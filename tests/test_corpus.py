@@ -76,6 +76,29 @@ class TestWordCodec:
         codec = WordCodec.build([text])
         assert codec.decode(codec.encode(text)) == codec.normalize_text(text)
 
+    @given(st.lists(st.integers(min_value=-3, max_value=FIRST_ID + 4), max_size=12))
+    @settings(max_examples=500, deadline=None)
+    def test_decode_equals_joined_surfaces(self, tokens):
+        # Ids run from negative through reserved and unknown to past the
+        # vocabulary (ids 3..6 are "a b c d").
+        codec = make_word_codec("a b c d")
+
+        def outcome(decode):
+            try:
+                return decode(tokens)
+            except (ValueError, IndexError) as exc:
+                return type(exc)
+
+        assert outcome(codec.decode) == outcome(
+            lambda ts: " ".join(codec.surface(t) for t in ts)
+        )
+
+    def test_negative_id_has_no_surface(self):
+        codec = make_word_codec("a b")
+        for tokens in ([-1], [3, -1]):
+            with pytest.raises(ValueError, match="no surface"):
+                codec.decode(tokens)
+
     @given(st.text(max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_normalization_idempotent(self, text):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -240,3 +241,66 @@ class TestPersistence:
         assert digest == (
             "bef154f7454cd43950fc183fd70694ba93267486d3245551e141446c8778c30b"
         )
+
+
+U32_MAX = 2**32 - 1
+
+
+def top_id_body(length=300, seed=16):
+    rng = random.Random(seed)
+    return [rng.choice([3, 4, U32_MAX - 1, U32_MAX]) for _ in range(length)]
+
+
+class TestArrayBackedIndex:
+    """Extreme bodies on the built and the loaded index, against the oracles."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [[7], [5] * 5000, top_id_body()],
+        ids=["one-token", "one-token-5000-times", "holds-2**32-1"],
+    )
+    def test_built_and_loaded_match_oracles(self, body):
+        built = BWTIndex.build(body, doc_id="doc-x")
+        buf = io.BytesIO()
+        save_index(built, buf)
+        buf.seek(0)
+        doc = Document("doc-x", "t", (3,), array("I", body))
+        loaded = load_index(buf, doc)
+        rng = random.Random(len(body))
+        rows = len(body) + 1
+        symbols = sorted(set(body)) + [SENTINEL_ID, 6, U32_MAX - 2]
+        for index in (built, loaded):
+            for name in ("sa", "bwt", "occ", "symbols", "bounds"):
+                assert getattr(index, name).typecode == "I", name
+            # The BWT spells the reversed body, so the LF oracle reads a
+            # checked transform.
+            assert oracles.naive_bwt_inverse(list(index.bwt)) == body[::-1]
+            ranges = [(0, rows), (0, 0), (rows, rows)] + [
+                tuple(sorted(rng.randrange(rows + 1) for _ in range(2)))
+                for _ in range(30)
+            ]
+            for lo, hi in ranges:
+                live = set()
+                for symbol in symbols:
+                    got = index.backward_extend(SearchRange(lo, hi), symbol)
+                    want = oracles.naive_backward_extend(index.bwt, lo, hi, symbol)
+                    if want is None:
+                        assert got.empty, (lo, hi, symbol)
+                    else:
+                        assert (got.lo, got.hi) == want, (lo, hi, symbol)
+                        live.add(symbol)
+                live.discard(SENTINEL_ID)
+                assert index.range_successors(SearchRange(lo, hi)) == live
+            for _ in range(20):
+                m = rng.randrange(1, min(4, len(body)) + 1)
+                i = rng.randrange(len(body) - m + 1)
+                # The body's own pattern, then one that runs past it.
+                for pattern in (body[i : i + m], body[i : i + m] + [6]):
+                    match = index.match_range(pattern)
+                    assert index.starts(match, len(pattern)) == oracles.naive_locate(
+                        body, pattern
+                    )
+                    assert index.range_successors(match) == oracles.naive_successors(
+                        [body], pattern
+                    )
+            assert index.range_successors(index.full_range()) == set(body)

@@ -1,4 +1,5 @@
 import io
+import struct
 
 import pytest
 
@@ -105,3 +106,21 @@ def test_writes_are_deterministic():
         return buf.getvalue()
 
     assert produce() == produce()
+
+
+def test_u32_sequence_bytes_and_extremes():
+    values = [0, 1, 2**31, 2**32 - 1]
+    buf = io.BytesIO()
+    Writer(buf).u32_seq(values)
+    assert buf.getvalue() == struct.pack("<Q4I", 4, *values)
+    buf.seek(0)
+    read = Reader(buf).u32_array()
+    assert read.typecode == "I" and read.tolist() == values
+
+
+@pytest.mark.parametrize("bad", [-1, 2**32])
+def test_u32_sequence_value_out_of_range_rejected_at_write(bad):
+    buf = io.BytesIO()
+    with pytest.raises(OverflowError):
+        Writer(buf).u32_seq([3, bad])
+    assert buf.getvalue() == b""
