@@ -5,8 +5,9 @@ malformed inputs, missing or tampered artifacts, unreachable endpoint),
 3 internal inconsistency (index and text disagree, which means a bug, not
 bad data).
 
-``load_artifacts`` checks the manifest's digest, each index section against
-its document, and the title trie against the corpus's titles.
+``load_artifacts`` checks the manifest's digest and each index section
+against its document, and builds the title trie from the corpus as ``build``
+does, requiring the stored trie section to equal that trie's bytes.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .scorer import (
     default_templates,
 )
 from .storage import FORMAT_VERSION, StorageError
-from .trie import TitleTrie, build_trie, load_trie, save_trie
+from .trie import TitleTrie, build_trie, save_trie, trie_section
 
 logger = logging.getLogger(__name__)
 
@@ -127,7 +128,7 @@ class Artifacts:
 
 
 def load_artifacts(index_dir: str) -> Artifacts:
-    """Check the manifest, then read and cross-check every section."""
+    """Check the manifest, then read and check every section."""
     with open(os.path.join(index_dir, MANIFEST_NAME), encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -146,13 +147,16 @@ def load_artifacts(index_dir: str) -> Artifacts:
             )
         handle.seek(0)
         corpus = load_corpus(handle)
-        trie = load_trie(handle)
+        try:
+            trie = build_trie(corpus)
+        except ValueError as exc:
+            raise DataError(f"the corpus's titles make no title trie: {exc}") from exc
+        # The section format is self-delimiting, so stored bytes equal to
+        # the expected section over its length are the whole stored section.
+        expected = trie_section(trie)
+        if handle.read(len(expected)) != expected:
+            raise DataError("the stored title trie is not the one the titles make")
         indexes = {doc.doc_id: load_index(handle, doc) for doc in corpus.documents}
-    if trie.terminal_count != len(corpus.documents) or any(
-        trie.resolve_title(doc.title_tokens) != doc.doc_id
-        for doc in corpus.documents
-    ):
-        raise DataError("the title trie does not spell the corpus's titles")
     return Artifacts(corpus=corpus, trie=trie, indexes=indexes, digest=digest)
 
 

@@ -367,11 +367,18 @@ def load_corpus(handle: BinaryIO) -> Corpus:
             f"codec implements {codec.policy!r}"
         )
     skipped_empty = reader.u64()
+    vocab_size = codec.vocab_size
     documents = []
     for _ in range(reader.u64()):
         doc_id = reader.text()
         title = reader.text()
-        title_tokens = tuple(reader.u32_seq())
+        title_tokens = reader.u32_array()
         body_tokens = reader.u32_array()
-        documents.append(Document(doc_id, title, title_tokens, body_tokens))
+        for tokens in (title_tokens, body_tokens):
+            if tokens and not FIRST_ID <= min(tokens) <= max(tokens) < vocab_size:
+                raise IngestError(
+                    f"document {doc_id!r} holds a token id outside "
+                    f"[{FIRST_ID}, {vocab_size})"
+                )
+        documents.append(Document(doc_id, title, tuple(title_tokens), body_tokens))
     return Corpus(documents=documents, codec=codec, skipped_empty=skipped_empty)

@@ -99,9 +99,6 @@ class Reader:
         self._left -= n
         return data
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
-
     def u32(self) -> int:
         return struct.unpack("<I", self._take(4))[0]
 
@@ -113,9 +110,6 @@ class Reader:
 
     def text(self) -> str:
         return self.raw().decode("utf-8")
-
-    def u32_seq(self) -> list[int]:
-        return self.u32_array().tolist()
 
     def u32_array(self) -> array:
         values = array("I")

@@ -8,10 +8,11 @@ id (0) shows up in the allowed set exactly at terminal nodes.
 
 from __future__ import annotations
 
+import io
 from typing import BinaryIO, Sequence
 
 from .corpus import END_ID, Corpus
-from .storage import KIND_TRIE, Reader, Writer
+from .storage import KIND_TRIE, Writer
 
 
 class TrieNode:
@@ -94,9 +95,17 @@ def build_trie(corpus: Corpus) -> TitleTrie:
 
 
 def save_trie(trie: TitleTrie, handle: BinaryIO) -> None:
-    """Nodes in pre-order, children by ascending token, each child after its
-    token; an explicit stack keeps very long titles off the call stack."""
-    writer = Writer(handle)
+    handle.write(trie_section(trie))
+
+
+def trie_section(trie: TitleTrie) -> bytes:
+    """The trie's artifact section.
+
+    Nodes in pre-order, children by ascending token, each child after its
+    token; an explicit stack keeps very long titles off the call stack.
+    """
+    buffer = io.BytesIO()
+    writer = Writer(buffer)
     writer.header(KIND_TRIE)
     stack: list[tuple[int | None, TrieNode]] = [(None, trie.root)]
     while stack:
@@ -109,34 +118,4 @@ def save_trie(trie: TitleTrie, handle: BinaryIO) -> None:
         writer.u64(len(node.children))
         for child_token in sorted(node.children, reverse=True):
             stack.append((child_token, node.children[child_token]))
-
-
-def load_trie(handle: BinaryIO) -> TitleTrie:
-    trie = TitleTrie()
-    trie.node_count = 0
-    reader = Reader(handle)
-    reader.header(KIND_TRIE)
-    trie.root, child_count = _read_node(reader, trie, 0)
-    # (node, children still to read, depth)
-    stack = [(trie.root, child_count, 0)]
-    while stack:
-        node, remaining, depth = stack.pop()
-        if not remaining:
-            continue
-        stack.append((node, remaining - 1, depth))
-        token = reader.u32()
-        child, child_count = _read_node(reader, trie, depth + 1)
-        node.children[token] = child
-        stack.append((child, child_count, depth + 1))
-    return trie
-
-
-def _read_node(reader: Reader, trie: TitleTrie, depth: int) -> tuple[TrieNode, int]:
-    """One node's own fields, counted into ``trie``; returns its child count."""
-    node = TrieNode()
-    trie.node_count += 1
-    if reader.u8():
-        node.doc_id = reader.text()
-        trie.terminal_count += 1
-        trie.max_depth = max(trie.max_depth, depth)
-    return node, reader.u64()
+    return buffer.getvalue()

@@ -1,5 +1,6 @@
 import filecmp
 import hashlib
+import io
 import json
 import logging
 import os
@@ -15,11 +16,12 @@ from hypothesis import strategies as st
 import helpers
 from passrecall import cli
 from passrecall.cli import main, run_recall_batch
-from passrecall.corpus import ingest_corpus
+from passrecall.corpus import ingest_corpus, load_corpus, save_corpus
 from passrecall.fmindex import save_index
 from passrecall.pipeline import DeadEndError
 from passrecall.scorer import corpus_scorer
 from passrecall.storage import FORMAT_VERSION, MAGIC
+from passrecall.trie import build_trie, save_trie
 
 REFERENCE_KEYS = {
     "doc_id",
@@ -180,6 +182,39 @@ def section_starts(data, workspace):
     while len(starts) < 2 + len(workspace["corpus"].documents):
         starts.append(data.index(header, starts[-1] + 1))
     return starts
+
+
+def rewrite_corpus(index_dir, workspace, edit):
+    """Replace the corpus section with ``edit`` applied to a fresh load of
+    it, under a matching digest.  The trie section becomes the trie of the
+    edited titles when they make one, so only a check on the corpus itself
+    can reject the result."""
+    data = read_artifacts(index_dir)
+    trie_start, index_start = section_starts(data, workspace)[1:3]
+    corpus = load_corpus(io.BytesIO(bytes(data)))
+    edit(corpus)
+    sections = io.BytesIO()
+    save_corpus(corpus, sections)
+    try:
+        save_trie(build_trie(corpus), sections)
+    except ValueError:  # empty or repeated titles make no trie
+        sections.write(data[trie_start:index_start])
+    data[:index_start] = sections.getvalue()
+    write_artifacts(index_dir, data)
+
+
+def set_title(doc_index, tokens):
+    def edit(corpus):
+        corpus.documents[doc_index].title_tokens = tokens(corpus)
+
+    return edit
+
+
+def set_body_token(value):
+    def edit(corpus):
+        corpus.documents[0].body_tokens[3] = value(corpus)
+
+    return edit
 
 
 def read_lines(path):
@@ -544,6 +579,51 @@ class TestRecall:
             trie = trie.replace(name, b"Z" * len(name))
         data[start:end] = trie
         write_artifacts(index_dir, data)
+        assert recall_code(index_dir, workspace) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_trie_with_a_dangling_child_is_a_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        # One more root child, a non-terminal leaf, appended after the last
+        # subtree.  Title words never occur in bodies, so a body token is
+        # not already a root child.
+        index_dir = copy_artifacts(workspace, tmp_path)
+        data = read_artifacts(index_dir)
+        start, end = section_starts(data, workspace)[1:3]
+        # The 12-byte header, then the root's terminal flag and child count.
+        assert data[start + 12] == 0
+        count = int.from_bytes(data[start + 13 : start + 21], "little")
+        data[start + 13 : start + 21] = (count + 1).to_bytes(8, "little")
+        token = workspace["corpus"].documents[0].body_tokens[0]
+        child = token.to_bytes(4, "little") + b"\x00" + (0).to_bytes(8, "little")
+        data[end:end] = child
+        write_artifacts(index_dir, data)
+        assert recall_code(index_dir, workspace) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            set_title(0, lambda corpus: ()),
+            set_title(1, lambda corpus: corpus.documents[0].title_tokens),
+            set_title(0, lambda corpus: (corpus.codec.vocab_size,)),
+            set_body_token(lambda corpus: corpus.codec.vocab_size + 5),
+            set_body_token(lambda corpus: 0),
+        ],
+        ids=[
+            "empty-title",
+            "shared-title",
+            "title-id-above-vocabulary",
+            "body-id-above-vocabulary",
+            "body-id-zero",
+        ],
+    )
+    def test_corpus_section_the_load_rejects_is_a_data_error(
+        self, workspace, tmp_path, capsys, edit
+    ):
+        index_dir = copy_artifacts(workspace, tmp_path)
+        rewrite_corpus(index_dir, workspace, edit)
         assert recall_code(index_dir, workspace) == 2
         assert "Traceback" not in capsys.readouterr().err
 

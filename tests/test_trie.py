@@ -1,20 +1,15 @@
 import hashlib
 import io
+import json
 import random
 
 import pytest
 
 import helpers
 import oracles
+from passrecall import cli
 from passrecall.corpus import END_ID, ingest_corpus
-from passrecall.trie import TitleTrie, build_trie, load_trie, save_trie
-
-
-def roundtrip(trie):
-    buf = io.BytesIO()
-    save_trie(trie, buf)
-    buf.seek(0)
-    return load_trie(buf)
+from passrecall.trie import TitleTrie, build_trie, save_trie
 
 
 def trie_from(titles):
@@ -114,16 +109,6 @@ class TestBuildFromCorpus:
 
 
 class TestPersistence:
-    def test_roundtrip_preserves_structure(self):
-        trie = trie_from([(3, 4, 5), (3, 6), (7,)])
-        loaded = roundtrip(trie)
-        assert loaded.node_count == trie.node_count
-        assert loaded.terminal_count == trie.terminal_count
-        assert loaded.max_depth == trie.max_depth
-        assert loaded.allowed_next(()) == trie.allowed_next(())
-        assert loaded.resolve_title((3, 4, 5)) == "doc-0"
-        assert loaded.resolve_title((7,)) == "doc-2"
-
     def test_save_is_deterministic(self):
         trie = trie_from([(5, 6), (3,), (9, 4, 4)])
         a, b = io.BytesIO(), io.BytesIO()
@@ -139,12 +124,23 @@ class TestPersistence:
             "c51e001402b404f4a4202a3a5fb031749ff76ebe5df538c18b1086cb3f2bf772"
         )
 
-    def test_very_long_title_roundtrips(self):
-        title = tuple(3 + i % 7 for i in range(5000))
-        trie = trie_from([title, title[:3]])
-        loaded = roundtrip(trie)
-        assert loaded.node_count == trie.node_count == 5001
-        assert loaded.terminal_count == 2
-        assert loaded.max_depth == 5000
-        assert loaded.resolve_title(title) == "doc-0"
-        assert loaded.resolve_title(title[:3]) == "doc-1"
+    def test_very_long_title_roundtrips(self, tmp_path):
+        # Through build and load: the loaded trie is rebuilt from the titles.
+        title = " ".join(f"t{i % 7}" for i in range(5000))
+        records = [
+            {"id": "long", "title": title, "text": ["body one"]},
+            {"id": "short", "title": title[:8], "text": ["body two"]},
+        ]
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        index_dir = str(tmp_path / "artifacts")
+        assert cli.main(["build", "--corpus", str(corpus_path), "--out", index_dir]) == 0
+        artifacts = cli.load_artifacts(index_dir)
+        long_doc, short_doc = artifacts.corpus.documents
+        assert short_doc.title_tokens == long_doc.title_tokens[:3]
+        assert artifacts.trie.node_count == 5001
+        assert artifacts.trie.max_depth == 5000
+        assert artifacts.trie.resolve_title(long_doc.title_tokens) == "long"
+        assert artifacts.trie.resolve_title(short_doc.title_tokens) == "short"
