@@ -369,8 +369,12 @@ def load_corpus(handle: BinaryIO) -> Corpus:
     skipped_empty = reader.u64()
     vocab_size = codec.vocab_size
     documents = []
+    seen_ids: set[str] = set()
     for _ in range(reader.u64()):
         doc_id = reader.text()
+        if doc_id in seen_ids:
+            raise IngestError(f"duplicate document id {doc_id!r}")
+        seen_ids.add(doc_id)
         title = reader.text()
         title_tokens = reader.u32_array()
         body_tokens = reader.u32_array()

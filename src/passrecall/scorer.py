@@ -19,8 +19,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from itertools import compress, islice, repeat
-from operator import and_, lshift, ne, or_, rshift
+from itertools import accumulate, compress, islice, repeat
+from operator import and_, lshift, ne, or_, rshift, sub
 from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 from .corpus import END_ID, Corpus, TokenCodec
@@ -100,22 +100,32 @@ class NGramScorer:
     is add-one over the candidate set: p(c) = (count(c)+1) / (total+|set|),
     which sums to exactly 1 within the set.
 
-    Streams are counted into one ``Counter`` per context length, keyed by
-    the packed n-gram: 32 bits per token, oldest token highest.  The first
-    lookup packs each counter into sorted arrays and drops it; a scorer
-    takes no streams after that.  Every context length has the same CSR
-    table, ``(contexts, start, toks, counts)``: ``contexts`` holds the
-    distinct packed contexts in sorted order (length 0 has the single key
-    0), and the rows of ``contexts[i]`` are ``start[i]:start[i+1]`` of
-    ``toks``/``counts``.  Two context tokens fill a u64 key, so the order
-    stops at 3.
+    Only the top order is counted, the way KenLM's estimator counts
+    (Heafield et al., 2013).  A stream appends the packed key of each of
+    its top-order n-grams to one list (32 bits per token, oldest token
+    highest), and its final m-gram, for each m below the order, to a small
+    ``Counter``.  The first lookup sorts the list and reads the distinct
+    n-grams and their counts off its runs; a scorer takes no streams after
+    that.  The lower orders are derived, not counted: every m-gram of a
+    stream but its last starts an (m+1)-gram, so an m-gram's count is the
+    sum of its row in the order above plus the number of streams it ends.
+
+    Every context length has the same CSR table, ``(contexts, start, toks,
+    counts)``: ``contexts`` holds the distinct packed contexts in sorted
+    order (length 0 has the single key 0), and the rows of ``contexts[i]``
+    are ``start[i]:start[i+1]`` of ``toks``/``counts``.  Two context tokens
+    fill a u64 key, so the order stops at 3.
     """
 
     def __init__(self, order: int = 3):
         if not 1 <= order <= 3:
             raise ValueError("order must be 1, 2 or 3")
         self.order = order
-        self._grams: list[Counter] = [Counter() for _ in range(order)]
+        # Top-order keys as counted, further counts of keys already in that
+        # list, and each stream's final m-gram for m = 1 .. order-1.
+        self._keys: list[int] = []
+        self._extra: Counter = Counter()
+        self._ends: list[Counter] = [Counter() for _ in range(order - 1)]
         self._tables: list[tuple] = []
 
     def add_stream(self, tokens: Sequence[int]) -> None:
@@ -124,13 +134,40 @@ class NGramScorer:
         toks = list(tokens)
         if toks and not (0 <= min(toks) and max(toks) <= _MASK):
             raise ValueError("token ids must lie in [0, 2**32)")
-        for n, grams in enumerate(self._grams, 1):
-            grams.update(_packed(toks, n))
+        self._count(toks)
 
-    def _pack(self, levels: int) -> None:
-        """Pack the counters of the context lengths below ``levels``."""
-        while len(self._tables) < levels:
-            self._tables.append(_table(self._grams[len(self._tables)]))
+    def _count(self, toks: list[int]) -> None:
+        self._keys += _packed(toks, self.order)
+        for m, ends in enumerate(self._ends, 1):
+            ends.update(_packed(toks[-m:], m))
+
+    def _pack(self) -> None:
+        """Build every context length's table from the counted streams."""
+        keys = self._keys
+        keys.sort()
+        # Key i opens a run where it differs from key i-1.
+        opens = [True, *map(ne, islice(keys, 1, None), keys)]
+        grams = list(compress(keys, opens))
+        starts = list(compress(range(len(keys)), opens))
+        starts.append(len(keys))
+        keys.clear()
+        del opens
+        counts = list(map(sub, islice(starts, 1, None), starts))
+        del starts
+        for key, extra in self._extra.items():
+            counts[bisect_left(grams, key)] += extra
+        tables = [_table(grams, counts)]
+        for ends in reversed(self._ends):
+            # An m-gram's count: its row sum in the order above, plus the
+            # streams it ends.  Row sums come out keyed by ``contexts``.
+            contexts, start, _, counts = tables[-1]
+            at = list(map(list(accumulate(counts, initial=0)).__getitem__, start))
+            grams = list(contexts)
+            counts = list(map(sub, islice(at, 1, None), at))
+            tables.append(_table(*_merged(grams, counts, ends)))
+        self._tables = tables[::-1]
+        self._extra.clear()
+        self._ends.clear()
 
     def log_probs(
         self, context: Sequence[int], candidates: Iterable[int]
@@ -138,8 +175,8 @@ class NGramScorer:
         cands = sorted(set(candidates))
         if not cands:
             raise ValueError("candidates must be nonempty")
-        if len(self._tables) < self.order:
-            self._pack(self.order)
+        if not self._tables:
+            self._pack()
         if len(cands) == 1:
             # (n+1)/(n+1): a lone candidate gets log 1 whatever its count.
             # Over 90% of decoding's calls are these forced steps.
@@ -172,22 +209,46 @@ def _packed(tokens: Sequence[int], n: int) -> Iterable[int]:
     return keys
 
 
-def _table(grams: Counter) -> tuple:
-    """One context length's CSR table; see ``NGramScorer``.  Empties
-    ``grams`` as soon as it is read, to keep the peak low."""
-    keys = sorted(grams)
-    wide = max(grams.values(), default=0) > _MASK
-    counts = array("Q" if wide else "I", map(grams.__getitem__, keys))
-    grams.clear()
+def _merged(
+    keys: list[int], counts: list[int], ends: Counter
+) -> tuple[list[int], list[int]]:
+    """Sorted distinct ``keys`` and their ``counts``, with ``ends``' counts
+    added and its new keys inserted in order."""
+    out_keys: list[int] = []
+    out_counts: list[int] = []
+    lo = 0
+    for key, n in sorted(ends.items()):
+        i = bisect_left(keys, key, lo)
+        out_keys += keys[lo:i]
+        out_counts += counts[lo:i]
+        if i < len(keys) and keys[i] == key:
+            n += counts[i]
+            i += 1
+        out_keys.append(key)
+        out_counts.append(n)
+        lo = i
+    out_keys += keys[lo:]
+    out_counts += counts[lo:]
+    return out_keys, out_counts
+
+
+def _table(keys: list[int], counts: list[int]) -> tuple:
+    """One context length's CSR table (see ``NGramScorer``) from its sorted
+    distinct n-gram keys and their counts.  Empties both lists as soon as
+    they are read, to keep the peak low."""
+    # A derived row sum can outgrow a u32 even where no counted n-gram does.
+    wide = max(counts, default=0) > _MASK
+    counts_arr = array("Q" if wide else "I", counts)
+    counts.clear()
     toks = array("I", map(and_, keys, repeat(_MASK)))
     rows = list(map(rshift, keys, repeat(32)))
-    del keys
+    keys.clear()
     # Row i opens a new context where its context differs from row i-1's.
     opens = [True, *map(ne, rows[1:], rows)]
     start = array("I", compress(range(len(rows)), opens))
     start.append(len(rows))
     contexts = array("Q", compress(rows, opens))
-    return contexts, start, toks, counts
+    return contexts, start, toks, counts_arr
 
 
 def corpus_scorer(corpus: Corpus) -> NGramScorer:
@@ -200,42 +261,42 @@ def corpus_scorer(corpus: Corpus) -> NGramScorer:
     document's title during constrained decoding; the echo does the same
     for a query that is itself a title string.
 
-    The counts equal streaming every stream through ``add_stream``, but are
-    taken in bulk, one context length at a time.  A bridge
-    ``[b_j, b_{j+1}, *title, END]`` has body tokens only in the n-grams that
-    start at its first two positions; the rest are the title's own n-grams,
-    the same for every ``j``, so they are counted once times the number of
-    bridges.
+    The counts equal streaming every stream through ``add_stream``, but the
+    bridges are counted in bulk.  A bridge ``[b_j, b_{j+1}, *title, END]``
+    has body tokens only in the trigrams that start at its first two
+    positions; the rest are the title's own trigrams, the same for every
+    ``j``, so each is listed once and given the other bridges' counts after
+    the sort.  Every bridge also ends in the same tokens, unless the title
+    is empty.  The tables are built before this returns, so training stays
+    out of the first lookup.
     """
     scorer = NGramScorer()
-    for n in range(1, scorer.order + 1):
-        grams = scorer._grams[n - 1]
-        for doc in corpus.documents:
-            body = list(doc.body_tokens)
-            tail = [*doc.title_tokens, END_ID]
-            grams.update(_packed(body + [END_ID], n))
-            grams.update(_packed(tail, n))
-            grams.update(_packed(tail[:-1] + tail, n))
-            bridges = len(body) - 1
-            if bridges < 1:
-                continue
-            # n-grams starting at b_j hold min(n, 2) body tokens; those
-            # starting at b_{j+1} hold one.  The rest of each comes from tail.
-            for head, from_tail in (
-                (islice(_packed(body, min(n, 2)), bridges), max(n - 2, 0)),
-                (body[1:], n - 1),
-            ):
-                if from_tail > len(tail):
-                    continue
-                suffix = 0
-                for tok in tail[:from_tail]:
-                    suffix = suffix << 32 | tok
-                grams.update(
-                    map(or_, map(lshift, head, repeat(32 * from_tail)), repeat(suffix))
+    keys, ends = scorer._keys, scorer._ends
+    for doc in corpus.documents:
+        body = list(doc.body_tokens)
+        tail = [*doc.title_tokens, END_ID]
+        for stream in (body + [END_ID], tail, tail[:-1] + tail):
+            scorer._count(stream)
+        bridges = len(body) - 1
+        if bridges < 1:
+            continue
+        # (b_j, b_{j+1}, t_0) and (b_{j+1}, t_0, t_1), for every j.
+        keys += map(or_, map(lshift, _packed(body, 2), repeat(32)), repeat(tail[0]))
+        if len(tail) > 1:
+            keys += map(
+                or_, map(lshift, body[1:], repeat(64)), repeat(tail[0] << 32 | tail[1])
+            )
+        for key in _packed(tail, 3):
+            keys.append(key)
+            scorer._extra[key] += bridges - 1
+        for m, counter in enumerate(ends, 1):
+            if m <= len(tail):
+                counter.update(dict.fromkeys(_packed(tail[-m:], m), bridges))
+            else:  # an empty title: bridge j ends (b_{j+1}, END)
+                counter.update(
+                    map(or_, map(lshift, body[1:], repeat(32)), repeat(END_ID))
                 )
-            for key in _packed(tail, n):
-                grams[key] += bridges
-        scorer._pack(n)
+    scorer._pack()
     return scorer
 
 

@@ -184,15 +184,30 @@ def section_starts(data, workspace):
     return starts
 
 
+def id_field(doc_id):
+    """A document id as a section stores it: u64 length, then UTF-8."""
+    raw = doc_id.encode("utf-8")
+    return len(raw).to_bytes(8, "little") + raw
+
+
 def rewrite_corpus(index_dir, workspace, edit):
     """Replace the corpus section with ``edit`` applied to a fresh load of
     it, under a matching digest.  The trie section becomes the trie of the
-    edited titles when they make one, so only a check on the corpus itself
-    can reject the result."""
+    edited titles when they make one, and each index section carries its
+    document's edited id, so only a check on the corpus itself can reject
+    the result."""
     data = read_artifacts(index_dir)
-    trie_start, index_start = section_starts(data, workspace)[1:3]
+    starts = section_starts(data, workspace)
+    trie_start, index_start = starts[1:3]
     corpus = load_corpus(io.BytesIO(bytes(data)))
+    ids = [doc.doc_id for doc in corpus.documents]
     edit(corpus)
+    # Last section first, so that earlier offsets stay put.  The id follows
+    # the 12-byte section header.
+    for start, old, doc in reversed(list(zip(starts[2:], ids, corpus.documents))):
+        field = id_field(old)
+        assert data[start + 12 : start + 12 + len(field)] == field
+        data[start + 12 : start + 12 + len(field)] = id_field(doc.doc_id)
     sections = io.BytesIO()
     save_corpus(corpus, sections)
     try:
@@ -206,6 +221,13 @@ def rewrite_corpus(index_dir, workspace, edit):
 def set_title(doc_index, tokens):
     def edit(corpus):
         corpus.documents[doc_index].title_tokens = tokens(corpus)
+
+    return edit
+
+
+def set_doc_id(doc_index, other_index):
+    def edit(corpus):
+        corpus.documents[doc_index].doc_id = corpus.documents[other_index].doc_id
 
     return edit
 
@@ -610,6 +632,7 @@ class TestRecall:
             set_title(0, lambda corpus: (corpus.codec.vocab_size,)),
             set_body_token(lambda corpus: corpus.codec.vocab_size + 5),
             set_body_token(lambda corpus: 0),
+            set_doc_id(1, 0),
         ],
         ids=[
             "empty-title",
@@ -617,6 +640,7 @@ class TestRecall:
             "title-id-above-vocabulary",
             "body-id-above-vocabulary",
             "body-id-zero",
+            "duplicate-doc-id",
         ],
     )
     def test_corpus_section_the_load_rejects_is_a_data_error(

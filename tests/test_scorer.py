@@ -129,10 +129,27 @@ class TestNGramScorer:
         # Bridge counts are multiplied by the body length, so one n-gram can
         # outgrow a u32 without the corpus holding 2**32 tokens.
         scorer = NGramScorer(order=1)
-        scorer._grams[0].update({7: 2**33})
+        scorer.add_stream([7])
+        scorer._extra[7] += 2**33 - 1  # how corpus_scorer adds bridge counts
         assert scorer.log_probs([], {7, 8}) == {
             7: math.log((2**33 + 1) / (2**33 + 2)),
             8: math.log(1 / (2**33 + 2)),
+        }
+
+    def test_derived_row_sum_beyond_32_bits_is_kept(self):
+        # Each bigram count fits a u32; the unigram count of 7, their row
+        # sum, does not.
+        scorer = NGramScorer(order=2)
+        for last in (8, 9):
+            scorer.add_stream([7, last])
+            scorer._extra[7 << 32 | last] += 2**31
+        assert scorer.log_probs([7], {8, 9}) == {8: math.log(1 / 2), 9: math.log(1 / 2)}
+        assert scorer._tables[1][3].typecode == "I"
+        assert scorer._tables[0][3].typecode == "Q"
+        # 7: 2 * (2**31 + 1); 8 and 9 each end one stream.
+        assert scorer.log_probs([], {7, 8}) == {
+            7: math.log((2**32 + 3) / (2**32 + 5)),
+            8: math.log(2 / (2**32 + 5)),
         }
 
     @given(
@@ -152,6 +169,15 @@ class TestNGramScorer:
              with_end=False, wide=0)
     @example(order=3, streams=[[1, 5, 7]], context=[1, 5 - 2**32], cands={7, 8},
              with_end=False, wide=0)
+    # The lower orders are derived from the top one plus each stream's final
+    # tokens: streams too short to hold a trigram, and final bigrams and
+    # unigrams shared by several streams.
+    @example(order=3, streams=[[]], context=[], cands={0, 3}, with_end=False, wide=0)
+    @example(order=3, streams=[[4]], context=[], cands={3, 4}, with_end=False, wide=0)
+    @example(order=3, streams=[[4, 5]], context=[4], cands={4, 5}, with_end=False,
+             wide=0)
+    @example(order=3, streams=[[1, 4, 5], [2, 4, 5], [4, 5], [3, 4, 5, 4]],
+             context=[4], cands={4, 5, 6}, with_end=False, wide=0)
     def test_log_probs_match_the_streaming_oracle(
         self, order, streams, context, cands, with_end, wide
     ):
@@ -259,6 +285,19 @@ class TestCorpusScorer:
 
     def test_counts_equal_streaming_every_stream(self):
         corpus = helpers.synthetic_corpus()
+        oracle = streamed(oracles.corpus_streams(corpus))
+        assert packed_counts(corpus_scorer(corpus)) == oracle.counts
+
+    def test_empty_title_matches_the_oracle(self):
+        # Ingest refuses an empty title, but a corpus made in code can hold
+        # one; then bridge j ends in (b_{j+1}, END), not in the title.
+        corpus = ingest_corpus(
+            [
+                {"id": "x", "title": "red badge", "text": ["cat dog fox cat"]},
+                {"id": "y", "title": "blue flag", "text": ["cat dog cat owl"]},
+            ]
+        )
+        corpus.documents[0].title_tokens = ()
         oracle = streamed(oracles.corpus_streams(corpus))
         assert packed_counts(corpus_scorer(corpus)) == oracle.counts
 
