@@ -211,14 +211,47 @@ class Document:
 
 @dataclass
 class Corpus:
-    """Immutable recall substrate: documents and their shared codec."""
+    """Immutable recall substrate: documents and their shared codec.
+
+    Valid by construction: at least one document, distinct ids, non-empty
+    titles and bodies of ids in ``[FIRST_ID, vocab_size)``, distinct title
+    tokens, each ``title`` the text of its tokens; else ``IngestError``.
+    """
 
     documents: list[Document]
     codec: TokenCodec
     skipped_empty: int = 0
 
     def __post_init__(self) -> None:
-        self._by_id = {doc.doc_id: doc for doc in self.documents}
+        if not self.documents:
+            raise IngestError("corpus contains no usable documents")
+        self._by_id = {}
+        by_title: dict[tuple[int, ...], str] = {}
+        for doc in self.documents:
+            doc_id = doc.doc_id
+            if doc_id in self._by_id:
+                raise IngestError(f"duplicate document id {doc_id!r}")
+            self._by_id[doc_id] = doc
+            for name, toks in (("title", doc.title_tokens), ("body", doc.body_tokens)):
+                if not toks:
+                    raise IngestError(f"document {doc_id!r}: empty {name}")
+                # Before the title checks: an uncovered title reports that.
+                if not (FIRST_ID <= min(toks) and max(toks) < self.codec.vocab_size):
+                    raise IngestError(
+                        f"document {doc_id!r}: {name} holds token ids outside "
+                        f"the codec vocabulary [{FIRST_ID}, {self.codec.vocab_size})"
+                    )
+            other = by_title.setdefault(doc.title_tokens, doc_id)
+            if other != doc_id:
+                raise IngestError(
+                    f"duplicate title {doc.title!r} in documents {other!r} "
+                    f"and {doc_id!r}"
+                )
+            if doc.title != self.codec.decode(doc.title_tokens):
+                raise IngestError(
+                    f"document {doc_id!r}: title {doc.title!r} is not the text "
+                    "of its title tokens"
+                )
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -232,20 +265,18 @@ def ingest_corpus(
 ) -> Corpus:
     """Merge fragment records into complete documents and build the corpus.
 
-    Each record needs a non-empty ``title``, an ``id``, and ``text``: an
-    array of passage fragments whose array order is the document order.
-    Fragments are joined with single spaces.  A record whose body is only
-    whitespace is skipped and stays out of the vocabulary.  When ``codec``
-    is omitted a word codec is built from every kept title and body; a
-    supplied codec must cover the corpus (unknown tokens in a body are an
-    error, since bodies may not contain reserved ids).
+    Each record needs a non-empty string ``id``, a string ``title``, and
+    ``text``: an array of passage fragments whose array order is the
+    document order.  Fragments are joined with single spaces.  A record
+    whose body is only whitespace is skipped and stays out of the
+    vocabulary.  When ``codec`` is omitted a word codec is built from every
+    kept title and body.  ``Corpus`` checks the result, so a supplied codec
+    must cover every title and body.
     """
-    # Normalization needs no vocabulary, so titles are checked before the
-    # codec exists.
+    # Normalization needs no vocabulary, so titles are normalized before
+    # the codec exists.
     normalize_text = (codec or WordCodec).normalize_text
     staged = []
-    seen_titles: dict[str, str] = {}
-    seen_ids: set[str] = set()
     skipped = 0
     for position, record in enumerate(records):
         doc_id, title, fragments = _validate_record(position, record)
@@ -255,44 +286,17 @@ def ingest_corpus(
             logger.warning("record %r: empty body, skipped", doc_id)
             skipped += 1
             continue
-        norm_title = normalize_text(title)
-        if norm_title in seen_titles:
-            raise IngestError(
-                f"duplicate title {norm_title!r} in records "
-                f"{seen_titles[norm_title]!r} and {doc_id!r}"
-            )
-        if doc_id in seen_ids:
-            raise IngestError(f"duplicate document id {doc_id!r}")
-        seen_titles[norm_title] = doc_id
-        seen_ids.add(doc_id)
-        staged.append((doc_id, norm_title, body))
+        staged.append((doc_id, normalize_text(title), body))
 
-    if not staged:
-        raise IngestError("corpus contains no usable documents")
     if codec is None:
         codec = WordCodec.build(
             text for _, title, body in staged for text in (title, body)
         )
-
-    documents = []
-    for doc_id, title, body in staged:
-        title_tokens = tuple(codec.encode(title))
-        body_tokens = array("I", codec.encode(body))
-        for name, tokens in (("title", title_tokens), ("body", body_tokens)):
-            if UNK_ID in tokens:
-                raise IngestError(
-                    f"record {doc_id!r}: {name} contains tokens outside the "
-                    "codec vocabulary"
-                )
-        documents.append(
-            Document(
-                doc_id=doc_id,
-                title=title,
-                title_tokens=title_tokens,
-                body_tokens=body_tokens,
-            )
-        )
-
+    encode = codec.encode
+    documents = [
+        Document(doc_id, title, tuple(encode(title)), array("I", encode(body)))
+        for doc_id, title, body in staged
+    ]
     return Corpus(documents=documents, codec=codec, skipped_empty=skipped)
 
 
@@ -300,8 +304,8 @@ def _validate_record(position: int, record: Mapping) -> tuple[str, str, list[str
     label = record.get("id", f"#{position}")
     if not isinstance(record.get("id"), str) or not record["id"]:
         raise IngestError(f"record {label!r}: missing or non-string 'id'")
-    if not isinstance(record.get("title"), str) or not record["title"].strip():
-        raise IngestError(f"record {label!r}: missing or empty 'title'")
+    if not isinstance(record.get("title"), str):
+        raise IngestError(f"record {label!r}: missing or non-string 'title'")
     text = record.get("text")
     if not isinstance(text, list) or not all(isinstance(f, str) for f in text):
         raise IngestError(f"record {label!r}: 'text' must be an array of strings")
@@ -367,22 +371,9 @@ def load_corpus(handle: BinaryIO) -> Corpus:
             f"codec implements {codec.policy!r}"
         )
     skipped_empty = reader.u64()
-    vocab_size = codec.vocab_size
     documents = []
-    seen_ids: set[str] = set()
     for _ in range(reader.u64()):
-        doc_id = reader.text()
-        if doc_id in seen_ids:
-            raise IngestError(f"duplicate document id {doc_id!r}")
-        seen_ids.add(doc_id)
-        title = reader.text()
-        title_tokens = reader.u32_array()
-        body_tokens = reader.u32_array()
-        for tokens in (title_tokens, body_tokens):
-            if tokens and not FIRST_ID <= min(tokens) <= max(tokens) < vocab_size:
-                raise IngestError(
-                    f"document {doc_id!r} holds a token id outside "
-                    f"[{FIRST_ID}, {vocab_size})"
-                )
-        documents.append(Document(doc_id, title, tuple(title_tokens), body_tokens))
+        doc_id, title = reader.text(), reader.text()
+        title_tokens = tuple(reader.u32_array())
+        documents.append(Document(doc_id, title, title_tokens, reader.u32_array()))
     return Corpus(documents=documents, codec=codec, skipped_empty=skipped_empty)

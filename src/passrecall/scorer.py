@@ -266,9 +266,9 @@ def corpus_scorer(corpus: Corpus) -> NGramScorer:
     has body tokens only in the trigrams that start at its first two
     positions; the rest are the title's own trigrams, the same for every
     ``j``, so each is listed once and given the other bridges' counts after
-    the sort.  Every bridge also ends in the same tokens, unless the title
-    is empty.  The tables are built before this returns, so training stays
-    out of the first lookup.
+    the sort.  Every bridge also ends in the same tokens, since a
+    ``Corpus`` holds no empty title.  The tables are built before this
+    returns, so training stays out of the first lookup.
     """
     scorer = NGramScorer()
     keys, ends = scorer._keys, scorer._ends
@@ -282,20 +282,14 @@ def corpus_scorer(corpus: Corpus) -> NGramScorer:
             continue
         # (b_j, b_{j+1}, t_0) and (b_{j+1}, t_0, t_1), for every j.
         keys += map(or_, map(lshift, _packed(body, 2), repeat(32)), repeat(tail[0]))
-        if len(tail) > 1:
-            keys += map(
-                or_, map(lshift, body[1:], repeat(64)), repeat(tail[0] << 32 | tail[1])
-            )
+        keys += map(
+            or_, map(lshift, body[1:], repeat(64)), repeat(tail[0] << 32 | tail[1])
+        )
         for key in _packed(tail, 3):
             keys.append(key)
             scorer._extra[key] += bridges - 1
         for m, counter in enumerate(ends, 1):
-            if m <= len(tail):
-                counter.update(dict.fromkeys(_packed(tail[-m:], m), bridges))
-            else:  # an empty title: bridge j ends (b_{j+1}, END)
-                counter.update(
-                    map(or_, map(lshift, body[1:], repeat(32)), repeat(END_ID))
-                )
+            counter.update(dict.fromkeys(_packed(tail[-m:], m), bridges))
     scorer._pack()
     return scorer
 
@@ -307,6 +301,7 @@ class RemoteScorer:
     "..."}; response: {"logprobs": {"<token id>": float, ...}}.  Connection
     failures, timeouts, and 5xx answers are retried; a 4xx answer means the
     two sides disagree (usually on the vocabulary) and is raised immediately.
+    ``timeout`` must be finite and above 0, ``retries`` at least 0.
     Only this scorer uses ``requests``, so it imports it when made and the
     CLI starts without it.
     """
@@ -319,6 +314,10 @@ class RemoteScorer:
         retries: int = 2,
         session: requests.Session | None = None,
     ):
+        if not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be finite and above 0, not {timeout}")
+        if not isinstance(retries, int) or retries < 0:
+            raise ValueError(f"retries must be an integer >= 0, not {retries!r}")
         import requests
 
         self.endpoint = endpoint

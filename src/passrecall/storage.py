@@ -72,7 +72,8 @@ class Reader:
     def __init__(self, stream: BinaryIO):
         self._stream = stream
         position = stream.tell()
-        self._left = stream.seek(0, io.SEEK_END) - position
+        stream.seek(0, io.SEEK_END)  # returns None on an mmap before 3.13
+        self._left = stream.tell() - position
         stream.seek(position)
 
     def header(self, expected_kind: bytes) -> None:

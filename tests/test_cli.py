@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +18,7 @@ import helpers
 from passrecall import cli
 from passrecall.cli import main, run_recall_batch
 from passrecall.corpus import ingest_corpus, load_corpus, save_corpus
-from passrecall.fmindex import save_index
+from passrecall.fmindex import BWTIndex, save_index
 from passrecall.pipeline import DeadEndError
 from passrecall.scorer import corpus_scorer
 from passrecall.storage import FORMAT_VERSION, MAGIC
@@ -194,18 +195,27 @@ def rewrite_corpus(index_dir, workspace, edit):
     """Replace the corpus section with ``edit`` applied to a fresh load of
     it, under a matching digest.  The trie section becomes the trie of the
     edited titles when they make one, and each index section carries its
-    document's edited id, so only a check on the corpus itself can reject
+    document's edited id, and is rebuilt over the edited body when the
+    body's length changed, so only a check on the corpus itself can reject
     the result."""
     data = read_artifacts(index_dir)
     starts = section_starts(data, workspace)
     trie_start, index_start = starts[1:3]
     corpus = load_corpus(io.BytesIO(bytes(data)))
-    ids = [doc.doc_id for doc in corpus.documents]
+    old = [(doc.doc_id, len(doc.body_tokens)) for doc in corpus.documents]
     edit(corpus)
     # Last section first, so that earlier offsets stay put.  The id follows
     # the 12-byte section header.
-    for start, old, doc in reversed(list(zip(starts[2:], ids, corpus.documents))):
-        field = id_field(old)
+    bounds = zip(starts[2:], starts[3:] + [len(data)])
+    for (start, end), (old_id, old_len), doc in reversed(
+        list(zip(bounds, old, corpus.documents))
+    ):
+        if len(doc.body_tokens) != old_len:
+            section = io.BytesIO()
+            save_index(BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id), section)
+            data[start:end] = section.getvalue()
+            continue
+        field = id_field(old_id)
         assert data[start + 12 : start + 12 + len(field)] == field
         data[start + 12 : start + 12 + len(field)] = id_field(doc.doc_id)
     sections = io.BytesIO()
@@ -228,6 +238,20 @@ def set_title(doc_index, tokens):
 def set_doc_id(doc_index, other_index):
     def edit(corpus):
         corpus.documents[doc_index].doc_id = corpus.documents[other_index].doc_id
+
+    return edit
+
+
+def set_title_text(doc_index, text):
+    def edit(corpus):
+        corpus.documents[doc_index].title = text
+
+    return edit
+
+
+def set_body(doc_index, tokens):
+    def edit(corpus):
+        corpus.documents[doc_index].body_tokens = array("I", tokens)
 
     return edit
 
@@ -553,6 +577,31 @@ class TestRecall:
             assert recall_code(index_dir, workspace) == 2
         assert any("digest" in message for message in caplog.messages)
 
+    def test_load_parses_the_bytes_it_digested(
+        self, workspace, excerpts, tmp_path, monkeypatch
+    ):
+        # Another build's artifacts land in the file, in place as ``build``
+        # writes, after the load has checked the digest.
+        index_dir = copy_artifacts(workspace, tmp_path)
+        path = os.path.join(index_dir, "artifacts.bin")
+        digested = read_artifacts(index_dir)
+        replacement = read_artifacts(excerpts["index_dir"])
+        real_load_corpus = cli.load_corpus
+
+        def replace_then_load(handle):
+            with open(path, "r+b") as fh:
+                fh.write(replacement)
+                fh.truncate()
+            return real_load_corpus(handle)
+
+        monkeypatch.setattr(cli, "load_corpus", replace_then_load)
+        artifacts = cli.load_artifacts(index_dir)
+        assert read_artifacts(index_dir) == replacement
+        assert artifacts.digest == hashlib.sha256(digested).hexdigest()
+        assert [doc.body_tokens for doc in artifacts.corpus.documents] == [
+            doc.body_tokens for doc in workspace["corpus"].documents
+        ]
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -633,6 +682,8 @@ class TestRecall:
             set_body_token(lambda corpus: corpus.codec.vocab_size + 5),
             set_body_token(lambda corpus: 0),
             set_doc_id(1, 0),
+            set_body(0, []),
+            set_title_text(0, "Forged title"),
         ],
         ids=[
             "empty-title",
@@ -641,6 +692,8 @@ class TestRecall:
             "body-id-above-vocabulary",
             "body-id-zero",
             "duplicate-doc-id",
+            "empty-body",
+            "forged-title-text",
         ],
     )
     def test_corpus_section_the_load_rejects_is_a_data_error(
@@ -809,6 +862,41 @@ class TestRemoteEndpoint:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--timeout", "0"),
+            ("--timeout", "-1"),
+            ("--timeout", "nan"),
+            ("--timeout", "inf"),
+            ("--retries", "-1"),
+        ],
+    )
+    def test_bad_scorer_setting_is_a_data_error(
+        self, workspace, tmp_path, caplog, flag, value
+    ):
+        with caplog.at_level(logging.ERROR, logger="passrecall.cli"):
+            code = run_cli(
+                [
+                    "recall",
+                    "--index-dir",
+                    workspace["index_dir"],
+                    "--queries",
+                    workspace["queries_path"],
+                    "--scorer",
+                    "remote",
+                    "--endpoint",
+                    "http://127.0.0.1:9/score",
+                    flag,
+                    value,
+                    "--output",
+                    str(tmp_path / "never.jsonl"),
+                ]
+            )
+        assert code == 2
+        assert any(flag[2:] in message for message in caplog.messages)
+        assert not (tmp_path / "never.jsonl").exists()
 
     def test_unreachable_endpoint_is_a_data_error(self, workspace, tmp_path):
         code = run_cli(

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from passrecall.corpus import (
     FIRST_ID,
     SENTINEL_ID,
     UNK_ID,
+    Corpus,
     IngestError,
     PieceCodec,
     WordCodec,
@@ -200,6 +202,66 @@ class TestIngest:
         codec = make_word_codec("only these words")
         with pytest.raises(IngestError, match="outside the codec vocabulary"):
             ingest_corpus(self.records(), codec=codec)
+
+
+def set_field(index, name, value):
+    def edit(documents, codec):
+        setattr(documents[index], name, value(documents, codec))
+
+    return edit
+
+
+class TestCorpus:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda documents, codec: documents.clear(), "no usable documents"),
+            (set_field(1, "doc_id", lambda ds, c: "d1"), "duplicate document id"),
+            (set_field(0, "title_tokens", lambda ds, c: ()), "empty title"),
+            (set_field(0, "body_tokens", lambda ds, c: array("I")), "empty body"),
+            (set_field(0, "title_tokens", lambda ds, c: (UNK_ID,)), "outside"),
+            (
+                set_field(0, "title_tokens", lambda ds, c: (c.vocab_size,)),
+                "outside the codec vocabulary",
+            ),
+            (
+                set_field(0, "body_tokens", lambda ds, c: array("I", [END_ID])),
+                "outside the codec vocabulary",
+            ),
+            (
+                set_field(1, "body_tokens", lambda ds, c: array("I", [c.vocab_size])),
+                "outside the codec vocabulary",
+            ),
+            (
+                set_field(1, "title_tokens", lambda ds, c: ds[0].title_tokens),
+                "d1.*d2",
+            ),
+            (set_field(0, "title", lambda ds, c: "Forged Doc"), "not the text"),
+        ],
+        ids=[
+            "no-documents",
+            "duplicate-doc-id",
+            "empty-title",
+            "empty-body",
+            "title-id-unknown",
+            "title-id-above-vocabulary",
+            "body-id-end",
+            "body-id-above-vocabulary",
+            "shared-title-tokens",
+            "forged-title-text",
+        ],
+    )
+    def test_invalid_documents_refused(self, edit, message):
+        corpus = ingest_corpus(
+            [
+                {"id": "d1", "title": "First Doc", "text": ["alpha beta"]},
+                {"id": "d2", "title": "Second Doc", "text": ["gamma delta"]},
+            ]
+        )
+        documents = corpus.documents
+        edit(documents, corpus.codec)
+        with pytest.raises(IngestError, match=message):
+            Corpus(documents=documents, codec=corpus.codec)
 
 
 class TestJsonl:

@@ -175,6 +175,30 @@ def test_timeout_is_a_transport_error(stub):
         client.log_probs([3], {4, 5})
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"timeout": 0.0},
+        {"timeout": -1.0},
+        {"timeout": float("nan")},
+        {"timeout": float("inf")},
+        {"retries": -1},
+        {"retries": 1.5},
+    ],
+    ids=[
+        "timeout-0",
+        "timeout-negative",
+        "timeout-nan",
+        "timeout-inf",
+        "retries-negative",
+        "retries-fractional",
+    ],
+)
+def test_bad_setting_rejected_when_made(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        RemoteScorer("http://127.0.0.1:9/score", VOCAB_HASH, **setting)
+
+
 def test_empty_candidates_rejected_before_any_request(stub):
     client = make_client(stub)
     with pytest.raises(ValueError, match="nonempty"):

@@ -288,19 +288,6 @@ class TestCorpusScorer:
         oracle = streamed(oracles.corpus_streams(corpus))
         assert packed_counts(corpus_scorer(corpus)) == oracle.counts
 
-    def test_empty_title_matches_the_oracle(self):
-        # Ingest refuses an empty title, but a corpus made in code can hold
-        # one; then bridge j ends in (b_{j+1}, END), not in the title.
-        corpus = ingest_corpus(
-            [
-                {"id": "x", "title": "red badge", "text": ["cat dog fox cat"]},
-                {"id": "y", "title": "blue flag", "text": ["cat dog cat owl"]},
-            ]
-        )
-        corpus.documents[0].title_tokens = ()
-        oracle = streamed(oracles.corpus_streams(corpus))
-        assert packed_counts(corpus_scorer(corpus)) == oracle.counts
-
     @pytest.mark.parametrize(
         "title, text",
         [
