@@ -146,7 +146,7 @@ def load_artifacts(index_dir: str) -> Artifacts:
     path = os.path.join(index_dir, ARTIFACT_NAME)
     size = max(os.path.getsize(path), 1)
     with open(path, "rb") as fh, mmap.mmap(-1, size) as handle:
-        fh.readinto(handle)
+        length = fh.readinto(handle)
         digest = hashlib.sha256(handle).hexdigest()
         if manifest.get("artifact_digest") != digest:
             raise DataError(
@@ -160,6 +160,8 @@ def load_artifacts(index_dir: str) -> Artifacts:
         if handle.read(len(expected)) != expected:
             raise DataError("the stored title trie is not the one the titles make")
         indexes = {doc.doc_id: load_index(handle, doc) for doc in corpus.documents}
+        if handle.tell() != length:
+            raise DataError(f"{ARTIFACT_NAME} holds bytes after its last section")
     return Artifacts(corpus=corpus, trie=trie, indexes=indexes, digest=digest)
 
 

@@ -17,7 +17,7 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from itertools import accumulate, compress, islice, repeat
 from operator import and_, lshift, ne, or_, rshift, sub
@@ -92,82 +92,44 @@ class TokenScorer(Protocol):
 _MASK = (1 << 32) - 1  # one token of a packed n-gram key
 
 
+@dataclass(frozen=True, eq=False)
 class NGramScorer:
-    """Count-based n-gram scorer of order 1 to 3, deterministic once trained.
+    """Count-based n-gram scorer of order 1 to 3, fixed once made.
 
     Counts are kept for every context length from 0 to order-1, so short
     contexts are first-class rather than a backoff special case.  Smoothing
     is add-one over the candidate set: p(c) = (count(c)+1) / (total+|set|),
     which sums to exactly 1 within the set.
 
-    Only the top order is counted, the way KenLM's estimator counts
-    (Heafield et al., 2013).  A stream appends the packed key of each of
-    its top-order n-grams to one list (32 bits per token, oldest token
-    highest), and its final m-gram, for each m below the order, to a small
-    ``Counter``.  The first lookup sorts the list and reads the distinct
-    n-grams and their counts off its runs; a scorer takes no streams after
-    that.  The lower orders are derived, not counted: every m-gram of a
-    stream but its last starts an (m+1)-gram, so an m-gram's count is the
-    sum of its row in the order above plus the number of streams it ends.
-
-    Every context length has the same CSR table, ``(contexts, start, toks,
-    counts)``: ``contexts`` holds the distinct packed contexts in sorted
-    order (length 0 has the single key 0), and the rows of ``contexts[i]``
-    are ``start[i]:start[i+1]`` of ``toks``/``counts``.  Two context tokens
-    fill a u64 key, so the order stops at 3.
+    ``tables[m]``, made by ``from_streams`` or ``corpus_scorer``, is context
+    length m's CSR table ``(contexts, start, toks, counts)``: ``contexts``
+    holds the distinct contexts in sorted order, packed 32 bits per token,
+    oldest highest (length 0 has the single key 0), and the rows of
+    ``contexts[i]`` are ``start[i]:start[i+1]`` of ``toks``/``counts``.
+    Two context tokens fill a u64 key, so the order stops at 3.
     """
 
-    def __init__(self, order: int = 3):
-        if not 1 <= order <= 3:
-            raise ValueError("order must be 1, 2 or 3")
-        self.order = order
-        # Top-order keys as counted, further counts of keys already in that
-        # list, and each stream's final m-gram for m = 1 .. order-1.
-        self._keys: list[int] = []
-        self._extra: Counter = Counter()
-        self._ends: list[Counter] = [Counter() for _ in range(order - 1)]
-        self._tables: list[tuple] = []
+    order: int
+    tables: tuple = field(repr=False)
 
-    def add_stream(self, tokens: Sequence[int]) -> None:
-        if self._tables:
-            raise ValueError("the scorer is packed; it takes no more streams")
-        toks = list(tokens)
-        if toks and not (0 <= min(toks) and max(toks) <= _MASK):
+    @classmethod
+    def from_streams(
+        cls, streams: Iterable[Sequence[int]], order: int = 3
+    ) -> NGramScorer:
+        """The scorer of ``streams``' counts; no streams is uniform."""
+        counts = _Counts(order)
+        for stream in streams:
+            cls.add_stream(counts, stream)
+        return cls(order, counts.tables())
+
+    # A classmethod, not a staticmethod, so the benchmark's tracer can wrap it.
+    @classmethod
+    def add_stream(cls, counts: _Counts, tokens: Sequence[int]) -> None:
+        if tokens and not (0 <= min(tokens) and max(tokens) <= _MASK):
             raise ValueError("token ids must lie in [0, 2**32)")
-        self._count(toks)
-
-    def _count(self, toks: list[int]) -> None:
-        self._keys += _packed(toks, self.order)
-        for m, ends in enumerate(self._ends, 1):
-            ends.update(_packed(toks[-m:], m))
-
-    def _pack(self) -> None:
-        """Build every context length's table from the counted streams."""
-        keys = self._keys
-        keys.sort()
-        # Key i opens a run where it differs from key i-1.
-        opens = [True, *map(ne, islice(keys, 1, None), keys)]
-        grams = list(compress(keys, opens))
-        starts = list(compress(range(len(keys)), opens))
-        starts.append(len(keys))
-        keys.clear()
-        del opens
-        counts = list(map(sub, islice(starts, 1, None), starts))
-        del starts
-        for key, extra in self._extra.items():
-            counts[bisect_left(grams, key)] += extra
-        tables = [_table(grams, counts)]
-        for ends in reversed(self._ends):
-            # An m-gram's count: its row sum in the order above, plus the
-            # streams it ends.  Row sums come out keyed by ``contexts``.
-            contexts, start, _, counts = tables[-1]
-            at = list(map(list(accumulate(counts, initial=0)).__getitem__, start))
-            grams = list(contexts)
-            counts = list(map(sub, islice(at, 1, None), at))
-            tables.append(_table(*_merged(grams, counts, ends)))
-        self._tables = tables[::-1]
-        self._extra.clear()
-        self._ends.clear()
+        counts.keys += _packed(tokens, counts.order)
+        for m, ends in enumerate(counts.ends, 1):
+            ends.update(_packed(tokens[-m:], m))
 
     def log_probs(
         self, context: Sequence[int], candidates: Iterable[int]
@@ -175,14 +137,12 @@ class NGramScorer:
         cands = sorted(set(candidates))
         if not cands:
             raise ValueError("candidates must be nonempty")
-        if not self._tables:
-            self._pack()
         if len(cands) == 1:
             # (n+1)/(n+1): a lone candidate gets log 1 whatever its count.
             # Over 90% of decoding's calls are these forced steps.
             return {cands[0]: 0.0}
         use = min(self.order - 1, len(context))
-        contexts, start, toks, seen = self._tables[use]
+        contexts, start, toks, seen = self.tables[use]
         key = 0
         for tok in context[len(context) - use :]:
             if not 0 <= tok <= _MASK:
@@ -199,6 +159,52 @@ class NGramScorer:
         # Wide sets repeat few counts (most are 0): one log per distinct count.
         logs = {n: math.log((n + 1) / denom) for n in set(counts)}
         return dict(zip(cands, map(logs.__getitem__, counts)))
+
+
+class _Counts:
+    """One scorer's counts, until ``tables`` reads them (once).
+
+    Only the top order is counted, as KenLM's estimator does (Heafield et
+    al., 2013): ``keys`` gets the packed key of each top-order n-gram of a
+    stream, ``ends[m-1]`` its final m-gram for each m below the order, and
+    ``extra`` further counts of listed keys.  Every m-gram of a stream but
+    its last starts an (m+1)-gram, so an m-gram's count is its row sum in
+    the order above plus the number of streams it ends.
+    """
+
+    def __init__(self, order: int):
+        if not 1 <= order <= 3:
+            raise ValueError("order must be 1, 2 or 3")
+        self.order = order
+        self.keys: list[int] = []
+        self.extra: Counter = Counter()
+        self.ends: list[Counter] = [Counter() for _ in range(order - 1)]
+
+    def tables(self) -> tuple:
+        """Every context length's table, shortest context first; empties ``keys``."""
+        keys = self.keys
+        keys.sort()
+        # Key i opens a run where it differs from key i-1.
+        opens = [True, *map(ne, islice(keys, 1, None), keys)]
+        grams = list(compress(keys, opens))
+        starts = list(compress(range(len(keys)), opens))
+        starts.append(len(keys))
+        keys.clear()
+        del opens
+        counts = list(map(sub, islice(starts, 1, None), starts))
+        del starts
+        for key, extra in self.extra.items():
+            counts[bisect_left(grams, key)] += extra
+        tables = [_table(grams, counts)]
+        for ends in reversed(self.ends):
+            # An m-gram's count: its row sum in the order above, plus the
+            # streams it ends.  Row sums come out keyed by ``contexts``.
+            contexts, start, _, counts = tables[-1]
+            at = list(map(list(accumulate(counts, initial=0)).__getitem__, start))
+            grams = list(contexts)
+            counts = list(map(sub, islice(at, 1, None), at))
+            tables.append(_table(*_merged(grams, counts, ends)))
+        return tuple(tables[::-1])
 
 
 def _packed(tokens: Sequence[int], n: int) -> Iterable[int]:
@@ -252,7 +258,7 @@ def _table(keys: list[int], counts: list[int]) -> tuple:
 
 
 def corpus_scorer(corpus: Corpus) -> NGramScorer:
-    """Train an order-3 ``NGramScorer`` on a corpus.
+    """The order-3 ``NGramScorer`` of a corpus.
 
     Four stream families: each body (so in-document continuations score
     well), each title (so titles terminate cleanly), a bridge from every
@@ -261,22 +267,20 @@ def corpus_scorer(corpus: Corpus) -> NGramScorer:
     document's title during constrained decoding; the echo does the same
     for a query that is itself a title string.
 
-    The counts equal streaming every stream through ``add_stream``, but the
-    bridges are counted in bulk.  A bridge ``[b_j, b_{j+1}, *title, END]``
+    The tables equal ``NGramScorer.from_streams`` over every stream, but the
+    bridges skip ``add_stream``.  A bridge ``[b_j, b_{j+1}, *title, END]``
     has body tokens only in the trigrams that start at its first two
     positions; the rest are the title's own trigrams, the same for every
-    ``j``, so each is listed once and given the other bridges' counts after
-    the sort.  Every bridge also ends in the same tokens, since a
-    ``Corpus`` holds no empty title.  The tables are built before this
-    returns, so training stays out of the first lookup.
+    ``j``, so each is listed once and given the other bridges' counts in
+    ``extra``.  Every bridge ends in the same tokens, as no title is empty.
     """
-    scorer = NGramScorer()
-    keys, ends = scorer._keys, scorer._ends
+    counts = _Counts(3)
+    keys = counts.keys
     for doc in corpus.documents:
         body = list(doc.body_tokens)
         tail = [*doc.title_tokens, END_ID]
         for stream in (body + [END_ID], tail, tail[:-1] + tail):
-            scorer._count(stream)
+            NGramScorer.add_stream(counts, stream)
         bridges = len(body) - 1
         if bridges < 1:
             continue
@@ -287,18 +291,17 @@ def corpus_scorer(corpus: Corpus) -> NGramScorer:
         )
         for key in _packed(tail, 3):
             keys.append(key)
-            scorer._extra[key] += bridges - 1
-        for m, counter in enumerate(ends, 1):
+            counts.extra[key] += bridges - 1
+        for m, counter in enumerate(counts.ends, 1):
             counter.update(dict.fromkeys(_packed(tail[-m:], m), bridges))
-    scorer._pack()
-    return scorer
+    return NGramScorer(3, counts.tables())
 
 
 class RemoteScorer:
     """Forwards scoring calls to an HTTP endpoint sharing the same vocabulary.
 
     Request: POST JSON {"context": [...], "candidates": [...], "vocab_hash":
-    "..."}; response: {"logprobs": {"<token id>": float, ...}}.  Connection
+    "..."}; response: {"logprobs": {"<token id>": number, ...}}.  Connection
     failures, timeouts, and 5xx answers are retried; a 4xx answer means the
     two sides disagree (usually on the vocabulary) and is raised immediately.
     ``timeout`` must be finite and above 0, ``retries`` at least 0.
@@ -380,15 +383,13 @@ class RemoteScorer:
             raw = logprobs.get(str(cand))
             if raw is None:
                 raise ScorerProtocolError(f"no log-prob for candidate {cand}")
-            try:
-                value = float(raw)
-            except (TypeError, ValueError) as exc:
+            if not isinstance(raw, (int, float)) or isinstance(raw, bool):
                 raise ScorerProtocolError(
                     f"log-prob for candidate {cand} is not a number: {raw!r}"
-                ) from exc
-            if math.isnan(value) or value > 0.0:
-                raise ScorerProtocolError(
-                    f"log-prob for candidate {cand} out of range: {value}"
                 )
-            out[cand] = value
+            if math.isnan(raw) or raw > 0.0:
+                raise ScorerProtocolError(
+                    f"log-prob for candidate {cand} out of range: {raw}"
+                )
+            out[cand] = float(raw)
         return out

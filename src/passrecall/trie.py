@@ -28,8 +28,6 @@ class TitleTrie:
 
     def __init__(self) -> None:
         self.root = TrieNode()
-        self.node_count = 1
-        self.terminal_count = 0
         self.max_depth = 0
 
     def insert(self, tokens: Sequence[int], doc_id: str) -> None:
@@ -41,14 +39,12 @@ class TitleTrie:
             if child is None:
                 child = TrieNode()
                 node.children[token] = child
-                self.node_count += 1
             node = child
         if node.doc_id is not None:
             raise ValueError(
                 f"title path already terminates at document {node.doc_id!r}"
             )
         node.doc_id = doc_id
-        self.terminal_count += 1
         self.max_depth = max(self.max_depth, len(tokens))
 
     def node(self, prefix: Sequence[int]) -> TrieNode | None:

@@ -201,13 +201,13 @@ def test_criterion_04_oracle_equivalence_suites():
 
 
 def _random_scorer(rng, alphabet, streams=6):
-    scorer = NGramScorer(order=3)
+    counted = []
     for _ in range(streams):
         stream = helpers.random_token_text(rng, alphabet, rng.randint(3, 20))
         if rng.random() < 0.5:
             stream.append(0)
-        scorer.add_stream(stream)
-    return scorer
+        counted.append(stream)
+    return NGramScorer.from_streams(counted)
 
 
 def test_criterion_05_decode_soundness():

@@ -704,6 +704,15 @@ class TestRecall:
         assert recall_code(index_dir, workspace) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_bytes_after_the_last_section_are_a_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        index_dir = copy_artifacts(workspace, tmp_path)
+        data = read_artifacts(index_dir)
+        write_artifacts(index_dir, data + b"\x00" * 22)
+        assert recall_code(index_dir, workspace) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_huge_length_prefix_is_a_data_error(self, workspace, tmp_path, capsys):
         index_dir = copy_artifacts(workspace, tmp_path)
         data = read_artifacts(index_dir)

@@ -18,6 +18,9 @@ from passrecall.fmindex import BWTIndex
 from passrecall.scorer import NGramScorer
 from passrecall.trie import TitleTrie
 
+# Scorers are immutable, so tests share one that was trained on nothing.
+UNTRAINED = NGramScorer.from_streams([])
+
 
 def trie_from(titles):
     trie = TitleTrie()
@@ -35,16 +38,14 @@ def substring_constraint(bodies):
 
 
 def trained_scorer(streams, order=3, seed=None, rng_streams=0, alphabet=6):
-    scorer = NGramScorer(order=order)
-    for stream in streams:
-        scorer.add_stream(list(stream))
+    streams = [list(stream) for stream in streams]
     if seed is not None:
         rng = random.Random(seed)
         for _ in range(rng_streams):
-            scorer.add_stream(
+            streams.append(
                 [3 + rng.randrange(alphabet) for _ in range(rng.randrange(1, 20))]
             )
-    return scorer
+    return NGramScorer.from_streams(streams, order)
 
 
 def oracle_title_score(scorer, prompt, title, titles):
@@ -132,7 +133,7 @@ class TestTitleSearch:
         empty = SubstringConstraint([])
         with pytest.raises(ValueError, match="no tokens at the start"):
             constrained_beam_search(
-                NGramScorer(), [], empty, BeamConfig(beam_size=2, max_len=2)
+                UNTRAINED, [], empty, BeamConfig(beam_size=2, max_len=2)
             )
 
     def test_dead_end_returns_empty_with_diagnostic(self, caplog):
@@ -140,7 +141,7 @@ class TestTitleSearch:
         trie = trie_from([(3, 4), (5, 6)])
         with caplog.at_level(logging.WARNING, logger="passrecall.decode"):
             results = constrained_beam_search(
-                NGramScorer(), [], TrieConstraint(trie), BeamConfig(2, max_len=1)
+                UNTRAINED, [], TrieConstraint(trie), BeamConfig(2, max_len=1)
             )
         assert results == []
         assert any("dead-end" in m for m in caplog.messages)
@@ -148,7 +149,7 @@ class TestTitleSearch:
     def test_lexicographic_tie_break(self):
         trie = trie_from([(4,), (3,), (5,)])
         results = constrained_beam_search(
-            NGramScorer(), [], TrieConstraint(trie), BeamConfig(3, max_len=2)
+            UNTRAINED, [], TrieConstraint(trie), BeamConfig(3, max_len=2)
         )
         assert [r.tokens for r in results] == [(3,), (4,), (5,)]
 
@@ -156,7 +157,7 @@ class TestTitleSearch:
         titles = [(3 + i,) for i in range(6)]
         trie = trie_from(titles)
         results = constrained_beam_search(
-            NGramScorer(), [], TrieConstraint(trie), BeamConfig(4, max_len=2)
+            UNTRAINED, [], TrieConstraint(trie), BeamConfig(4, max_len=2)
         )
         assert len(results) == 4
 
@@ -241,7 +242,7 @@ class TestSubstringSearch:
     def test_early_finish_only_at_document_ends(self):
         body = [3, 4, 5]
         results = constrained_beam_search(
-            NGramScorer(), [], substring_constraint([body]), BeamConfig(20, 10)
+            UNTRAINED, [], substring_constraint([body]), BeamConfig(20, 10)
         )
         finished = {r.tokens for r in results}
         short = {t for t in finished if len(t) < 10}

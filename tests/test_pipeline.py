@@ -23,6 +23,9 @@ from passrecall.pipeline import (
 )
 from passrecall.scorer import NGramScorer, corpus_scorer
 
+# Scorers are immutable, so tests share one that was trained on nothing.
+UNTRAINED = NGramScorer.from_streams([])
+
 
 class TestSelectDocuments:
     def results(self):
@@ -196,7 +199,7 @@ class TestRecallTitles:
         )
         trie, _ = helpers.build_artifacts(corpus)
         results = recall_titles(
-            "anything at all", corpus, trie, NGramScorer(), helpers.plain_config()
+            "anything at all", corpus, trie, UNTRAINED, helpers.plain_config()
         )
         assert [r.doc_id for r in results] == ["d1"]
         assert results[0].title == "only doc"
@@ -275,8 +278,7 @@ class TestRecallPrefixes:
         )
         _, indexes = helpers.build_artifacts(corpus)
         planted_tokens = corpus.codec.encode(planted)
-        scorer = NGramScorer(order=3)
-        scorer.add_stream(planted_tokens)
+        scorer = NGramScorer.from_streams([planted_tokens])
         config = helpers.plain_config(prefix_len=8, passage_len=20, beam2=20)
         selected = [
             StageOneResult("planted page", "d1", -0.1),
@@ -388,7 +390,7 @@ class TestRecallEndToEnd:
             corpus,
             trie,
             indexes,
-            NGramScorer(),
+            UNTRAINED,
             helpers.plain_config(prefix_len=3, passage_len=5),
         )
         for query in ("first", "second unrelated query"):
@@ -422,7 +424,7 @@ class TestRecallEndToEnd:
             for i, body in enumerate(bodies)
         )
         trie, indexes = helpers.build_artifacts(corpus)
-        scorer = corpus_scorer(corpus) if trained else NGramScorer()
+        scorer = corpus_scorer(corpus) if trained else UNTRAINED
         config = helpers.plain_config(
             k=k, beam2=beam2, prefix_len=prefix_len, passage_len=4
         )

@@ -64,8 +64,7 @@ class _Handler(BaseHTTPRequestHandler):
 class Stub:
     def __init__(self):
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-        self.server.scorer = NGramScorer(order=3)
-        self.server.scorer.add_stream([3, 4, 5, 3, 4, 6])
+        self.server.scorer = NGramScorer.from_streams([[3, 4, 5, 3, 4, 6]])
         self.server.vocab_hash = VOCAB_HASH
         self.server.fail_remaining = 0
         self.server.delay = 0.0
@@ -150,8 +149,10 @@ def test_nan_is_a_protocol_error(stub):
         [1, 2],
         {"logprobs": {"4": "abc", "5": -1.0}},
         {"logprobs": {"4": [1], "5": -1.0}},
+        {"logprobs": {"4": False, "5": -1.0}},
+        {"logprobs": {"4": "-1.5", "5": -1.0}},
     ],
-    ids=["body-not-object", "non-numeric", "not-scalar"],
+    ids=["body-not-object", "non-numeric", "not-scalar", "boolean", "numeric-string"],
 )
 def test_malformed_reply_is_a_protocol_error(stub, reply):
     stub.server.reply_with = reply

@@ -12,6 +12,7 @@ from passrecall.scorer import (
     STAGE_TWO,
     NGramScorer,
     PromptTemplate,
+    _Counts,
     corpus_scorer,
     default_templates,
     render_prompt,
@@ -78,9 +79,8 @@ class TestDefaultTemplates:
 def packed_counts(scorer):
     """The packed tables read back as ``counts[ctx_len][context][token]``,
     the oracle's layout."""
-    scorer.log_probs([], {END_ID})  # packs any counted streams
     out = []
-    for ctx_len, (contexts, start, toks, counts) in enumerate(scorer._tables):
+    for ctx_len, (contexts, start, toks, counts) in enumerate(scorer.tables):
         table = {}
         for i, key in enumerate(contexts):
             ctx = tuple(key >> 32 * k & 0xFFFFFFFF for k in range(ctx_len)[::-1])
@@ -107,30 +107,24 @@ any_token = st.one_of(
 class TestNGramScorer:
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError, match="order"):
-            NGramScorer(order=0)
+            NGramScorer.from_streams([], order=0)
 
     def test_order_above_three_rejected(self):
         with pytest.raises(ValueError, match="order"):
-            NGramScorer(order=4)
+            NGramScorer.from_streams([], order=4)
 
     @pytest.mark.parametrize("token", [-1, 2**32])
     def test_token_id_outside_32_bits_rejected(self, token):
         with pytest.raises(ValueError, match="token ids"):
-            NGramScorer().add_stream([3, token])
-
-    def test_no_streams_after_the_first_lookup(self):
-        scorer = NGramScorer()
-        scorer.add_stream([3, 4])
-        scorer.log_probs([3], {4})
-        with pytest.raises(ValueError, match="packed"):
-            scorer.add_stream([3, 4])
+            NGramScorer.from_streams([[3, token]])
 
     def test_counts_beyond_32_bits_are_kept(self):
         # Bridge counts are multiplied by the body length, so one n-gram can
         # outgrow a u32 without the corpus holding 2**32 tokens.
-        scorer = NGramScorer(order=1)
-        scorer.add_stream([7])
-        scorer._extra[7] += 2**33 - 1  # how corpus_scorer adds bridge counts
+        counts = _Counts(order=1)
+        NGramScorer.add_stream(counts, [7])
+        counts.extra[7] += 2**33 - 1  # how corpus_scorer adds bridge counts
+        scorer = NGramScorer(1, counts.tables())
         assert scorer.log_probs([], {7, 8}) == {
             7: math.log((2**33 + 1) / (2**33 + 2)),
             8: math.log(1 / (2**33 + 2)),
@@ -139,13 +133,14 @@ class TestNGramScorer:
     def test_derived_row_sum_beyond_32_bits_is_kept(self):
         # Each bigram count fits a u32; the unigram count of 7, their row
         # sum, does not.
-        scorer = NGramScorer(order=2)
+        counts = _Counts(order=2)
         for last in (8, 9):
-            scorer.add_stream([7, last])
-            scorer._extra[7 << 32 | last] += 2**31
+            NGramScorer.add_stream(counts, [7, last])
+            counts.extra[7 << 32 | last] += 2**31
+        scorer = NGramScorer(2, counts.tables())
         assert scorer.log_probs([7], {8, 9}) == {8: math.log(1 / 2), 9: math.log(1 / 2)}
-        assert scorer._tables[1][3].typecode == "I"
-        assert scorer._tables[0][3].typecode == "Q"
+        assert scorer.tables[1][3].typecode == "I"
+        assert scorer.tables[0][3].typecode == "Q"
         # 7: 2 * (2**31 + 1); 8 and 9 each end one stream.
         assert scorer.log_probs([], {7, 8}) == {
             7: math.log((2**32 + 3) / (2**32 + 5)),
@@ -186,9 +181,7 @@ class TestNGramScorer:
         # A wide set over a 9-token alphabet: most counts are 0, the rest
         # repeat, so one cached log serves many candidates.
         cands = cands | set(range(wide))
-        scorer = NGramScorer(order)
-        for stream in streams:
-            scorer.add_stream(stream)
+        scorer = NGramScorer.from_streams(streams, order)
         oracle = streamed(streams, order)
         # Every trained context, then one that may be unseen or out of range.
         contexts = [stream[:i] for stream in streams for i in range(len(stream) + 1)]
@@ -198,14 +191,14 @@ class TestNGramScorer:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            NGramScorer().log_probs([], set())
+            NGramScorer.from_streams([]).log_probs([], set())
 
     def test_single_candidate_scores_zero(self):
-        scorer = NGramScorer()
+        scorer = NGramScorer.from_streams([])
         assert scorer.log_probs([3, 4], {9}) == {9: 0.0}
 
     def test_untrained_is_uniform(self):
-        scorer = NGramScorer()
+        scorer = NGramScorer.from_streams([])
         got = scorer.log_probs([], {3, 4, 5, 6})
         for value in got.values():
             assert value == math.log(1 / 4)
@@ -214,23 +207,20 @@ class TestNGramScorer:
         # Stream "a b a b": after "a", "b" has been seen twice, "a" never.
         codec = WordCodec.build(["a b"])
         a, b = codec.encode("a"), codec.encode("b")
-        scorer = NGramScorer(order=2)
-        scorer.add_stream(codec.encode("a b a b"))
+        scorer = NGramScorer.from_streams([codec.encode("a b a b")], order=2)
         got = scorer.log_probs(a, {a[0], b[0]})
         assert got[b[0]] > got[a[0]]
         assert got[b[0]] == math.log(3 / 4)
         assert got[a[0]] == math.log(1 / 4)
 
     def test_context_uses_only_the_last_order_minus_one_tokens(self):
-        scorer = NGramScorer(order=2)
-        scorer.add_stream([3, 4])
+        scorer = NGramScorer.from_streams([[3, 4]], order=2)
         long_context = scorer.log_probs([9, 9, 9, 3], {4, 5})
         short_context = scorer.log_probs([3], {4, 5})
         assert long_context == short_context
 
     def test_short_context_uses_short_tables(self):
-        scorer = NGramScorer(order=3)
-        scorer.add_stream([3, 4, 5])
+        scorer = NGramScorer.from_streams([[3, 4, 5]])
         # Unigram table: both 3 and 4 were seen once; 9 never.
         got = scorer.log_probs([], {3, 4, 9})
         assert got[3] == got[4] > got[9]
@@ -242,14 +232,12 @@ class TestNGramScorer:
     )
     @settings(max_examples=200, deadline=None)
     def test_within_set_normalization_sums_to_one(self, stream, context, cands):
-        scorer = NGramScorer(order=3)
-        scorer.add_stream(stream)
+        scorer = NGramScorer.from_streams([stream])
         got = scorer.log_probs(context, cands)
         assert abs(sum(math.exp(v) for v in got.values()) - 1.0) <= 1e-9
 
     def test_repeated_calls_are_bit_identical(self):
-        scorer = NGramScorer(order=3)
-        scorer.add_stream([3, 4, 5, 3, 4])
+        scorer = NGramScorer.from_streams([[3, 4, 5, 3, 4]])
         first = scorer.log_probs([3, 4], {5, 6, 7})
         second = scorer.log_probs([3, 4], {5, 6, 7})
         assert first == second
@@ -287,6 +275,17 @@ class TestCorpusScorer:
         corpus = helpers.synthetic_corpus()
         oracle = streamed(oracles.corpus_streams(corpus))
         assert packed_counts(corpus_scorer(corpus)) == oracle.counts
+
+    def test_tables_equal_counting_every_stream(self):
+        # Array for array and typecode for typecode: the bulk-counted bridges
+        # leave the same tables as counting each bridge stream one by one.
+        corpus = helpers.synthetic_corpus()
+        got = corpus_scorer(corpus).tables
+        want = NGramScorer.from_streams(oracles.corpus_streams(corpus)).tables
+        assert len(got) == len(want)
+        for got_table, want_table in zip(got, want):
+            assert [a.typecode for a in got_table] == [a.typecode for a in want_table]
+            assert got_table == want_table
 
     @pytest.mark.parametrize(
         "title, text",

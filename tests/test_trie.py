@@ -22,10 +22,7 @@ def trie_from(titles):
 class TestInsert:
     def test_counts_and_depth(self):
         trie = trie_from([(3, 4), (3, 5), (6,)])
-        assert trie.terminal_count == 3
         assert trie.max_depth == 2
-        # root, 3, 3-4, 3-5, 6
-        assert trie.node_count == 5
 
     def test_empty_title_rejected(self):
         with pytest.raises(ValueError, match="empty title"):
@@ -38,7 +35,11 @@ class TestInsert:
 
     def test_shared_prefixes_share_nodes(self):
         trie = trie_from([(3, 4, 5), (3, 4, 6)])
-        assert trie.node_count == 5  # root, 3, 3-4, and the two leaves
+        # One path down to 3-4, which holds both leaves.
+        assert list(trie.root.children) == [3]
+        first = trie.root.children[3]
+        assert list(first.children) == [4]
+        assert sorted(first.children[4].children) == [5, 6]
 
 
 class TestAllowedNext:
@@ -105,7 +106,6 @@ class TestBuildFromCorpus:
         trie = build_trie(corpus)
         first = corpus.document("d1").title_tokens
         assert trie.resolve_title(first) == "d1"
-        assert trie.terminal_count == 2
 
 
 class TestPersistence:
@@ -140,7 +140,6 @@ class TestPersistence:
         artifacts = cli.load_artifacts(index_dir)
         long_doc, short_doc = artifacts.corpus.documents
         assert short_doc.title_tokens == long_doc.title_tokens[:3]
-        assert artifacts.trie.node_count == 5001
         assert artifacts.trie.max_depth == 5000
         assert artifacts.trie.resolve_title(long_doc.title_tokens) == "long"
         assert artifacts.trie.resolve_title(short_doc.title_tokens) == "short"
