@@ -36,7 +36,7 @@ from .evaluation import (
     report_json,
     report_table,
 )
-from .fmindex import BWTIndex, load_index, save_index
+from .fmindex import BWTIndex, build_suffix_array, load_index, save_index
 from .pipeline import (
     DeadEndError,
     InternalInconsistencyError,
@@ -97,8 +97,9 @@ def cmd_build(args: argparse.Namespace) -> int:
     with open(os.path.join(args.out, ARTIFACT_NAME), "w+b") as handle:
         save_corpus(corpus, handle)
         save_trie(build_trie(corpus), handle)
+        # An index section holds only the suffix array; load builds the rest.
         for doc in corpus.documents:
-            save_index(BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id), handle)
+            save_index(doc.doc_id, build_suffix_array(doc.body_tokens[::-1]), handle)
         artifact_bytes = handle.tell()
         handle.seek(0)
         manifest = {

@@ -9,15 +9,19 @@ rank queries answered by binary search inside one symbol's group of BWT
 rows; the tokens that can follow a prefix are the distinct symbols in its
 BWT rows, read from the symbol table for the full range and by one scan of
 the rows for any narrower one.  Every table is a flat ``array('I')``.  An
-index section stores only the document id and the suffix array;
-``load_index`` rebuilds the BWT and rank tables from it and the body tokens.
+index section stores only the document id and the suffix array, so
+``passrecall build`` computes only the suffix array; ``load_index`` builds
+the BWT and rank tables from it and the body tokens.  ``BWTIndex.build``
+makes a whole index in memory.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import defaultdict
+from collections import defaultdict, deque
+from itertools import accumulate, chain, repeat
+from operator import add, mul, ne, setitem
 from typing import BinaryIO, NamedTuple, Sequence
 
 from .corpus import FIRST_ID, SENTINEL_ID, Document
@@ -27,34 +31,41 @@ from .storage import KIND_FMINDEX, Reader, StorageError, Writer
 def build_suffix_array(tokens: Sequence[int]) -> list[int]:
     """Suffix array of ``tokens`` plus an implicit trailing sentinel.
 
-    Prefix-doubling construction, O(n log^2 n).  The returned array has
-    length n+1 and is a permutation of 0..n; the sentinel suffix (position
-    n) sorts first because the sentinel ranks below every token id.
+    Prefix doubling (Manber and Myers, 1993).  The returned array has length
+    n+1 and is a permutation of 0..n; the sentinel suffix (position n) sorts
+    first because the sentinel ranks below every token id.
+
+    Before a round with step ``step``, ``rank[i]`` orders suffix i by its
+    first ``step`` tokens.  The round sorts by one integer key per suffix,
+    ``rank[i] * base + rank[i + step] + 1``, or ``rank[i] * base`` when
+    ``i + step`` is past the end, with ``base = max(rank) + 2``; the key
+    orders by the first ``2 * step`` tokens, a suffix that ends first sorting
+    first.  The first round ranks by raw token id with the sentinel as 0, so
+    its keys reach about 2**64; later ranks are below n and later keys below
+    (n + 1)**2.  A round is a key pass, a sort of the previous order
+    (already sorted by rank, so timsort finds long presorted runs) and a rank
+    pass, all in C loops: O(n log n).  Rounds stop once every rank differs,
+    after ceil(log2(L + 1)) of them for a longest repeated substring of L
+    tokens, and at least one.
     """
-    if any(t == SENTINEL_ID for t in tokens):
+    if SENTINEL_ID in tokens:
         raise ValueError("input may not contain the sentinel id")
-    symbols = list(tokens) + [-1]
-    n = len(symbols)
-    sa = sorted(range(n), key=symbols.__getitem__)
-    rank = [0] * n
-    for idx in range(1, n):
-        rank[sa[idx]] = rank[sa[idx - 1]] + (
-            symbols[sa[idx]] != symbols[sa[idx - 1]]
-        )
+    rank = [*tokens, 0]
+    n = len(rank)
+    sa = list(range(n))
     step = 1
-    while rank[sa[-1]] != n - 1:
-        pairs = [
-            (rank[i], rank[i + step] if i + step < n else -1) for i in range(n)
-        ]
-        sa.sort(key=pairs.__getitem__)
-        new_rank = [0] * n
-        for idx in range(1, n):
-            new_rank[sa[idx]] = new_rank[sa[idx - 1]] + (
-                pairs[sa[idx]] != pairs[sa[idx - 1]]
-            )
-        rank = new_rank
+    while True:
+        base = max(rank) + 2
+        second = chain(map(add, rank[step:], repeat(1)), repeat(0))
+        keys = list(map(add, map(mul, rank, repeat(base)), second))
+        sa.sort(key=keys.__getitem__)
+        ordered = list(map(keys.__getitem__, sa))
+        # A suffix's new rank counts the key changes before it in sorted order.
+        new_ranks = accumulate(map(ne, ordered[1:], ordered), initial=0)
+        deque(map(setitem, repeat(rank), sa, new_ranks), maxlen=0)
+        if rank[sa[-1]] == n - 1:
+            return sa
         step *= 2
-    return sa
 
 
 def bwt_from_sa(tokens: Sequence[int], sa: Sequence[int]) -> array:
@@ -113,7 +124,7 @@ class BWTIndex:
 
     @classmethod
     def build(cls, tokens: Sequence[int], doc_id: str | None = None) -> "BWTIndex":
-        if any(t < FIRST_ID for t in tokens):
+        if min(tokens, default=FIRST_ID) < FIRST_ID:
             raise ValueError("document tokens may not contain reserved ids")
         return cls(tokens, array("I", build_suffix_array(tokens[::-1])), doc_id)
 
@@ -175,11 +186,12 @@ class BWTIndex:
         return self.starts(self.match_range(pattern), len(pattern))
 
 
-def save_index(index: BWTIndex, handle: BinaryIO) -> None:
+def save_index(doc_id: str, sa: Sequence[int], handle: BinaryIO) -> None:
+    """Write the index section of ``doc_id``: its id and its suffix array."""
     writer = Writer(handle)
     writer.header(KIND_FMINDEX)
-    writer.text(index.doc_id or "")
-    writer.u32_seq(index.sa)
+    writer.text(doc_id)
+    writer.u32_seq(sa)
 
 
 def load_index(handle: BinaryIO, doc: Document) -> BWTIndex:

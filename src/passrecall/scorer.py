@@ -387,7 +387,11 @@ class RemoteScorer:
                 raise ScorerProtocolError(
                     f"log-prob for candidate {cand} is not a number: {raw!r}"
                 )
-            if math.isnan(raw) or raw > 0.0:
+            try:
+                in_range = float(raw) <= 0.0  # false for NaN
+            except OverflowError:  # an integer beyond float range
+                in_range = False
+            if not in_range:
                 raise ScorerProtocolError(
                     f"log-prob for candidate {cand} out of range: {raw}"
                 )

@@ -18,7 +18,7 @@ import helpers
 from passrecall import cli
 from passrecall.cli import main, run_recall_batch
 from passrecall.corpus import ingest_corpus, load_corpus, save_corpus
-from passrecall.fmindex import BWTIndex, save_index
+from passrecall.fmindex import build_suffix_array, save_index
 from passrecall.pipeline import DeadEndError
 from passrecall.scorer import corpus_scorer
 from passrecall.storage import FORMAT_VERSION, MAGIC
@@ -212,7 +212,7 @@ def rewrite_corpus(index_dir, workspace, edit):
     ):
         if len(doc.body_tokens) != old_len:
             section = io.BytesIO()
-            save_index(BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id), section)
+            save_index(doc.doc_id, build_suffix_array(doc.body_tokens[::-1]), section)
             data[start:end] = section.getvalue()
             continue
         field = id_field(old_id)
@@ -300,6 +300,37 @@ class TestBuild:
         )
         assert mismatch == [] and errors == []
         assert len(match) == len(names)
+
+    # sha256 of the whole artifacts.bin.  The second corpus draws from six
+    # words per document, so its bodies repeat long runs of tokens.  Any
+    # change to what build writes, or a Python version that writes other
+    # bytes, changes these.
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        [
+            (
+                {"num_docs": 6, "body_len": 80, "seed": 12},
+                "abe943253d0cadfe1cd64f18de00bcfbc49fe36509681b65f6f29204c36aa794",
+            ),
+            (
+                {"num_docs": 12, "body_len": 150, "pool_size": 6, "seed": 17},
+                "28a88286e39f10ad194cefe525d5a1826f2571384ef12a12fb71cc0f082942a7",
+            ),
+        ],
+        ids=["six-docs", "six-word-pools"],
+    )
+    def test_artifacts_are_pinned(self, tmp_path, kwargs, digest):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(
+            "".join(
+                json.dumps(record) + "\n"
+                for record in helpers.synthetic_records(**kwargs)
+            ),
+            encoding="utf-8",
+        )
+        index_dir = str(tmp_path / "artifacts")
+        assert run_cli(["build", "--corpus", str(corpus_path), "--out", index_dir]) == 0
+        assert hashlib.sha256(read_artifacts(index_dir)).hexdigest() == digest
 
     def test_missing_corpus_file_is_a_data_error(self, tmp_path):
         code = run_cli(
@@ -755,11 +786,10 @@ class TestRecall:
         # manifest's digest over it, so only recall can tell it is wrong.
         rng = random.Random(seed)
 
-        def save_shuffled(index, handle):
-            rest = list(index.sa[1:])
+        def save_shuffled(doc_id, sa, handle):
+            rest = list(sa[1:])
             rng.shuffle(rest)
-            index.sa = [index.sa[0], *rest]
-            save_index(index, handle)
+            save_index(doc_id, [sa[0], *rest], handle)
 
         records = helpers.synthetic_records(num_docs=3, body_len=40, seed=seed)
         corpus_path = tmp_path / "corpus.jsonl"

@@ -48,6 +48,25 @@ class TestSuffixArray:
         tokens = [3, 4] * 500
         assert build_suffix_array(tokens) == oracles.naive_suffix_array(tokens)
 
+    # The first round keys by raw id, so ids near 2**32 make keys near 2**64;
+    # one repeated token makes every round tie until the last.
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            [2**32 - 1, 3, 2**32 - 2, 3, 3, 2**32 - 1, 2**32 - 2, 2**32 - 1, 3],
+            [3] * 3000,
+            [2**32 - 1] * 257,
+        ],
+        ids=["ids-near-2**32-with-3", "3-times-3000", "2**32-1-times-257"],
+    )
+    def test_extreme_inputs_match_naive_sort(self, tokens):
+        assert build_suffix_array(tokens) == oracles.naive_suffix_array(tokens)
+
+    @given(st.lists(st.sampled_from([3, 4, 2**32 - 2, 2**32 - 1]), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_top_ids_match_naive_sort(self, tokens):
+        assert build_suffix_array(tokens) == oracles.naive_suffix_array(tokens)
+
 
 class TestBWT:
     @given(token_seqs.filter(lambda t: len(t) > 0))
@@ -132,7 +151,7 @@ class TestBWTIndexReversed:
             doc = Document(f"doc-{i}", "t", (3,), tuple(body))
             index = BWTIndex.build(body, doc_id=doc.doc_id)
             buf = io.BytesIO()
-            save_index(index, buf)
+            save_index(doc.doc_id, index.sa, buf)
             buf.seek(0)
             loaded = load_index(buf, doc)
             expected = oracles.naive_successors([body], [])
@@ -217,7 +236,7 @@ class TestPersistence:
         text = [5, 3, 4, 3, 5, 5, 4]
         index = BWTIndex.build(text, doc_id="doc-9")
         buf = io.BytesIO()
-        save_index(index, buf)
+        save_index(index.doc_id, index.sa, buf)
         buf.seek(0)
         loaded = load_index(buf, Document("doc-9", "t", (3,), tuple(text)))
         assert loaded.doc_id == "doc-9"
@@ -229,14 +248,14 @@ class TestPersistence:
     def test_save_is_deterministic(self):
         index = BWTIndex.build([4, 4, 3, 5], doc_id="doc-1")
         a, b = io.BytesIO(), io.BytesIO()
-        save_index(index, a)
-        save_index(index, b)
+        save_index(index.doc_id, index.sa, a)
+        save_index(index.doc_id, index.sa, b)
         assert a.getvalue() == b.getvalue()
 
     def test_bytes_of_synthetic_fixture_unchanged(self):
         doc = helpers.synthetic_corpus().documents[0]
         buf = io.BytesIO()
-        save_index(BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id), buf)
+        save_index(doc.doc_id, build_suffix_array(doc.body_tokens[::-1]), buf)
         digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == (
             "bef154f7454cd43950fc183fd70694ba93267486d3245551e141446c8778c30b"
@@ -262,7 +281,7 @@ class TestArrayBackedIndex:
     def test_built_and_loaded_match_oracles(self, body):
         built = BWTIndex.build(body, doc_id="doc-x")
         buf = io.BytesIO()
-        save_index(built, buf)
+        save_index(built.doc_id, built.sa, buf)
         buf.seek(0)
         doc = Document("doc-x", "t", (3,), array("I", body))
         loaded = load_index(buf, doc)

@@ -151,8 +151,17 @@ def test_nan_is_a_protocol_error(stub):
         {"logprobs": {"4": [1], "5": -1.0}},
         {"logprobs": {"4": False, "5": -1.0}},
         {"logprobs": {"4": "-1.5", "5": -1.0}},
+        # An integer beyond float range: float() and math.isnan overflow on it.
+        {"logprobs": {"4": -int("9" * 400), "5": -1.0}},
     ],
-    ids=["body-not-object", "non-numeric", "not-scalar", "boolean", "numeric-string"],
+    ids=[
+        "body-not-object",
+        "non-numeric",
+        "not-scalar",
+        "boolean",
+        "numeric-string",
+        "huge-integer",
+    ],
 )
 def test_malformed_reply_is_a_protocol_error(stub, reply):
     stub.server.reply_with = reply
