@@ -45,6 +45,7 @@ from .pipeline import (
     Reference,
 )
 from .scorer import (
+    NGRAM_ORDER,
     STAGE_ONE,
     STAGE_TWO,
     PromptTemplate,
@@ -224,8 +225,8 @@ def _build_config(args: argparse.Namespace) -> RecallConfig:
 
 def _make_scorer(args: argparse.Namespace, artifacts: Artifacts):
     if args.scorer == "ngram":
-        scorer = corpus_scorer(artifacts.corpus)
-        return scorer, {"type": "ngram", "order": scorer.order}
+        scorer_info = {"type": "ngram", "order": NGRAM_ORDER}
+        return corpus_scorer(artifacts.corpus), scorer_info
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise DataError(
@@ -454,7 +455,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--task",
-        choices=("qa", "fact", "dialogue"),
+        choices=sorted(default_templates()),
         default=None,
         help="select the packaged prompt templates for this task form",
     )

@@ -48,7 +48,7 @@ def split_text(text: str) -> list[str]:
 
 
 class IngestError(ValueError):
-    """Raised when the record stream violates corpus invariants."""
+    """Raised when records, a vocabulary or a stored corpus break an invariant."""
 
 
 class TokenCodec:
@@ -56,8 +56,9 @@ class TokenCodec:
 
     Concrete codecs differ in how they segment text; all of them share the
     reserved-id convention and the id<->surface tables, which are complete
-    once the codec is made: the ``i``-th surface gets id ``FIRST_ID + i``.
-    ``encode`` never emits ids 0 or 1; unknown surface forms map to id 2.
+    once the codec is made: the ``i``-th surface gets id ``FIRST_ID + i``,
+    and no surface may repeat.  ``encode`` never emits ids 0 or 1; unknown
+    surface forms map to id 2.
     """
 
     kind = "abstract"
@@ -66,6 +67,8 @@ class TokenCodec:
     def __init__(self, surfaces: Sequence[str]) -> None:
         self._surfaces = list(surfaces)
         self._ids = {s: FIRST_ID + i for i, s in enumerate(self._surfaces)}
+        if len(self._ids) != len(self._surfaces):
+            raise IngestError("duplicate surfaces in codec vocabulary")
 
     # -- vocabulary ---------------------------------------------------------
 
@@ -157,8 +160,6 @@ class PieceCodec(TokenCodec):
     policy = "piece:nfc,ws-collapse,greedy-longest,case-preserve"
 
     def __init__(self, pieces: Sequence[str]):
-        if len(set(pieces)) != len(pieces):
-            raise ValueError("duplicate pieces in vocabulary")
         super().__init__(pieces)
         self._max_piece_len = max((len(p) for p in pieces), default=0)
 
@@ -220,7 +221,6 @@ class Corpus:
 
     documents: list[Document]
     codec: TokenCodec
-    skipped_empty: int = 0
 
     def __post_init__(self) -> None:
         if not self.documents:
@@ -277,14 +277,12 @@ def ingest_corpus(
     # the codec exists.
     normalize_text = (codec or WordCodec).normalize_text
     staged = []
-    skipped = 0
     for position, record in enumerate(records):
         doc_id, title, fragments = _validate_record(position, record)
         body = " ".join(fragments)
         # Equals ``normalize_text(body) == ""`` for both codecs.
         if not body.strip():
             logger.warning("record %r: empty body, skipped", doc_id)
-            skipped += 1
             continue
         staged.append((doc_id, normalize_text(title), body))
 
@@ -297,7 +295,7 @@ def ingest_corpus(
         Document(doc_id, title, tuple(encode(title)), array("I", encode(body)))
         for doc_id, title, body in staged
     ]
-    return Corpus(documents=documents, codec=codec, skipped_empty=skipped)
+    return Corpus(documents=documents, codec=codec)
 
 
 def _validate_record(position: int, record: Mapping) -> tuple[str, str, list[str]]:
@@ -347,11 +345,9 @@ def save_corpus(corpus: Corpus, handle: BinaryIO) -> None:
     writer.u64(len(surfaces))
     for surface in surfaces:
         writer.text(surface)
-    writer.u64(corpus.skipped_empty)
     writer.u64(len(corpus.documents))
     for doc in corpus.documents:
         writer.text(doc.doc_id)
-        writer.text(doc.title)
         writer.u32_seq(doc.title_tokens)
         writer.u32_seq(doc.body_tokens)
 
@@ -370,10 +366,16 @@ def load_corpus(handle: BinaryIO) -> Corpus:
             f"codec policy mismatch: file says {policy!r}, "
             f"codec implements {codec.policy!r}"
         )
-    skipped_empty = reader.u64()
     documents = []
     for _ in range(reader.u64()):
-        doc_id, title = reader.text(), reader.text()
+        doc_id = reader.text()
         title_tokens = tuple(reader.u32_array())
+        try:
+            title = codec.decode(title_tokens)
+        except (IndexError, ValueError) as exc:  # a reserved or too large id
+            raise IngestError(
+                f"document {doc_id!r}: title holds token ids outside the codec "
+                f"vocabulary [{FIRST_ID}, {codec.vocab_size})"
+            ) from exc
         documents.append(Document(doc_id, title, title_tokens, reader.u32_array()))
-    return Corpus(documents=documents, codec=codec, skipped_empty=skipped_empty)
+    return Corpus(documents=documents, codec=codec)

@@ -130,22 +130,19 @@ def load_gold(path: str) -> list[EvalItem]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise GoldFormatError(f"line {lineno}: invalid JSON: {exc}")
+                raise GoldFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict) or "query" not in record:
                 raise GoldFormatError(f"line {lineno}: record needs a 'query'")
             provenance = record.get("gold_provenance", [])
             answers = record.get("gold_answers", [])
             if not isinstance(provenance, list) or not isinstance(answers, list):
+                raise GoldFormatError(f"line {lineno}: gold fields must be lists")
+            values = [record["query"], *provenance, *answers]
+            if not all(isinstance(value, str) for value in values):
                 raise GoldFormatError(
-                    f"line {lineno}: gold fields must be lists"
+                    f"line {lineno}: the query and gold values must be strings"
                 )
-            items.append(
-                EvalItem(
-                    query=str(record["query"]),
-                    gold_provenance=tuple(str(p) for p in provenance),
-                    gold_answers=tuple(str(a) for a in answers),
-                )
-            )
+            items.append(EvalItem(values[0], tuple(provenance), tuple(answers)))
     return items
 
 

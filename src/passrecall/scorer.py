@@ -90,13 +90,15 @@ class TokenScorer(Protocol):
 
 
 _MASK = (1 << 32) - 1  # one token of a packed n-gram key
+# Two context tokens fill a u64 key, so the order stops at 3.
+NGRAM_ORDER = 3
 
 
 @dataclass(frozen=True, eq=False)
 class NGramScorer:
-    """Count-based n-gram scorer of order 1 to 3, fixed once made.
+    """Count-based trigram scorer, fixed once made.
 
-    Counts are kept for every context length from 0 to order-1, so short
+    Counts are kept for every context length from 0 to 2, so short
     contexts are first-class rather than a backoff special case.  Smoothing
     is add-one over the candidate set: p(c) = (count(c)+1) / (total+|set|),
     which sums to exactly 1 within the set.
@@ -106,28 +108,24 @@ class NGramScorer:
     holds the distinct contexts in sorted order, packed 32 bits per token,
     oldest highest (length 0 has the single key 0), and the rows of
     ``contexts[i]`` are ``start[i]:start[i+1]`` of ``toks``/``counts``.
-    Two context tokens fill a u64 key, so the order stops at 3.
     """
 
-    order: int
     tables: tuple = field(repr=False)
 
     @classmethod
-    def from_streams(
-        cls, streams: Iterable[Sequence[int]], order: int = 3
-    ) -> NGramScorer:
+    def from_streams(cls, streams: Iterable[Sequence[int]]) -> NGramScorer:
         """The scorer of ``streams``' counts; no streams is uniform."""
-        counts = _Counts(order)
+        counts = _Counts()
         for stream in streams:
             cls.add_stream(counts, stream)
-        return cls(order, counts.tables())
+        return cls(counts.tables())
 
     # A classmethod, not a staticmethod, so the benchmark's tracer can wrap it.
     @classmethod
     def add_stream(cls, counts: _Counts, tokens: Sequence[int]) -> None:
         if tokens and not (0 <= min(tokens) and max(tokens) <= _MASK):
             raise ValueError("token ids must lie in [0, 2**32)")
-        counts.keys += _packed(tokens, counts.order)
+        counts.keys += _packed(tokens, NGRAM_ORDER)
         for m, ends in enumerate(counts.ends, 1):
             ends.update(_packed(tokens[-m:], m))
 
@@ -141,7 +139,7 @@ class NGramScorer:
             # (n+1)/(n+1): a lone candidate gets log 1 whatever its count.
             # Over 90% of decoding's calls are these forced steps.
             return {cands[0]: 0.0}
-        use = min(self.order - 1, len(context))
+        use = min(NGRAM_ORDER - 1, len(context))
         contexts, start, toks, seen = self.tables[use]
         key = 0
         for tok in context[len(context) - use :]:
@@ -164,21 +162,18 @@ class NGramScorer:
 class _Counts:
     """One scorer's counts, until ``tables`` reads them (once).
 
-    Only the top order is counted, as KenLM's estimator does (Heafield et
-    al., 2013): ``keys`` gets the packed key of each top-order n-gram of a
-    stream, ``ends[m-1]`` its final m-gram for each m below the order, and
-    ``extra`` further counts of listed keys.  Every m-gram of a stream but
-    its last starts an (m+1)-gram, so an m-gram's count is its row sum in
-    the order above plus the number of streams it ends.
+    Only trigrams are counted, as KenLM's estimator counts only the top
+    order (Heafield et al., 2013): ``keys`` gets the packed key of each
+    trigram of a stream, ``ends[m-1]`` its final m-gram for m = 1 and 2,
+    and ``extra`` further counts of listed keys.  Every m-gram of a stream
+    but its last starts an (m+1)-gram, so a bigram's or unigram's count is
+    its row sum in the order above plus the number of streams it ends.
     """
 
-    def __init__(self, order: int):
-        if not 1 <= order <= 3:
-            raise ValueError("order must be 1, 2 or 3")
-        self.order = order
+    def __init__(self):
         self.keys: list[int] = []
         self.extra: Counter = Counter()
-        self.ends: list[Counter] = [Counter() for _ in range(order - 1)]
+        self.ends: list[Counter] = [Counter() for _ in range(NGRAM_ORDER - 1)]
 
     def tables(self) -> tuple:
         """Every context length's table, shortest context first; empties ``keys``."""
@@ -258,7 +253,7 @@ def _table(keys: list[int], counts: list[int]) -> tuple:
 
 
 def corpus_scorer(corpus: Corpus) -> NGramScorer:
-    """The order-3 ``NGramScorer`` of a corpus.
+    """The ``NGramScorer`` of a corpus.
 
     Four stream families: each body (so in-document continuations score
     well), each title (so titles terminate cleanly), a bridge from every
@@ -274,7 +269,7 @@ def corpus_scorer(corpus: Corpus) -> NGramScorer:
     ``j``, so each is listed once and given the other bridges' counts in
     ``extra``.  Every bridge ends in the same tokens, as no title is empty.
     """
-    counts = _Counts(3)
+    counts = _Counts()
     keys = counts.keys
     for doc in corpus.documents:
         body = list(doc.body_tokens)
@@ -294,7 +289,7 @@ def corpus_scorer(corpus: Corpus) -> NGramScorer:
             counts.extra[key] += bridges - 1
         for m, counter in enumerate(counts.ends, 1):
             counter.update(dict.fromkeys(_packed(tail[-m:], m), bridges))
-    return NGramScorer(3, counts.tables())
+    return NGramScorer(counts.tables())
 
 
 class RemoteScorer:

@@ -19,7 +19,7 @@ from array import array
 from typing import BinaryIO, Sequence
 
 MAGIC = b"MREF"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 KIND_CORPUS = b"CORP"
 KIND_TRIE = b"TRIE"

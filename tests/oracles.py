@@ -166,16 +166,13 @@ class StreamingNGramScorer:
     candidate set as the packed scorer's.
     """
 
-    def __init__(self, order: int = 3):
-        self.order = order
-        self.counts: list[dict[tuple[int, ...], dict[int, int]]] = [
-            {} for _ in range(order)
-        ]
+    def __init__(self):
+        self.counts: list[dict[tuple[int, ...], dict[int, int]]] = [{}, {}, {}]
 
     def add_stream(self, tokens: Sequence[int]) -> None:
         toks = list(tokens)
         for pos, tok in enumerate(toks):
-            for ctx_len in range(self.order):
+            for ctx_len in range(3):
                 if ctx_len > pos:
                     break
                 ctx = tuple(toks[pos - ctx_len : pos])
@@ -187,7 +184,7 @@ class StreamingNGramScorer:
         if not cands:
             raise ValueError("candidates must be nonempty")
         ctx = tuple(context)
-        use = min(self.order - 1, len(ctx))
+        use = min(2, len(ctx))
         table = self.counts[use].get(ctx[len(ctx) - use :], {})
         counts = [table.get(c, 0) for c in cands]
         denom = sum(counts) + len(cands)

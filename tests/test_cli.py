@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,10 +18,17 @@ from hypothesis import strategies as st
 import helpers
 from passrecall import cli
 from passrecall.cli import main, run_recall_batch
-from passrecall.corpus import ingest_corpus, load_corpus, save_corpus
+from passrecall.corpus import (
+    FIRST_ID,
+    PieceCodec,
+    WordCodec,
+    ingest_corpus,
+    load_corpus,
+    save_corpus,
+)
 from passrecall.fmindex import build_suffix_array, save_index
 from passrecall.pipeline import DeadEndError
-from passrecall.scorer import corpus_scorer
+from passrecall.scorer import STAGE_ONE, STAGE_TWO, corpus_scorer, default_templates
 from passrecall.storage import FORMAT_VERSION, MAGIC
 from passrecall.trie import build_trie, save_trie
 
@@ -242,9 +250,20 @@ def set_doc_id(doc_index, other_index):
     return edit
 
 
-def set_title_text(doc_index, text):
+def repeat_surface(codec_cls):
+    """Save the vocabulary as ``codec_cls``'s, with one surface that no
+    title uses replaced by another such surface."""
+
     def edit(corpus):
-        corpus.documents[doc_index].title = text
+        surfaces = corpus.codec.surfaces()
+        in_titles = {t for doc in corpus.documents for t in doc.title_tokens}
+        first, second = [
+            i for i in range(len(surfaces)) if i + FIRST_ID not in in_titles
+        ][:2]
+        surfaces[second] = surfaces[first]
+        corpus.codec = SimpleNamespace(
+            kind=codec_cls.kind, policy=codec_cls.policy, surfaces=lambda: surfaces
+        )
 
     return edit
 
@@ -275,7 +294,7 @@ class TestBuild:
         with open(os.path.join(index_dir, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
         digest = hashlib.sha256(read_artifacts(index_dir)).hexdigest()
-        assert manifest == {"artifact_digest": digest, "format_version": 3}
+        assert manifest == {"artifact_digest": digest, "format_version": 4}
 
     def test_build_reports_counts(self, workspace, tmp_path, capsys):
         out = tmp_path / "again"
@@ -310,11 +329,11 @@ class TestBuild:
         [
             (
                 {"num_docs": 6, "body_len": 80, "seed": 12},
-                "abe943253d0cadfe1cd64f18de00bcfbc49fe36509681b65f6f29204c36aa794",
+                "597e455bf531d93d42fd4bd153776a4cd81bc15b0dba7022dbe294aef4afa1ed",
             ),
             (
                 {"num_docs": 12, "body_len": 150, "pool_size": 6, "seed": 17},
-                "28a88286e39f10ad194cefe525d5a1826f2571384ef12a12fb71cc0f082942a7",
+                "95ca5269da6fe911fd321e111dcfb6642431948fb76abf0105e9012bbd9380fe",
             ),
         ],
         ids=["six-docs", "six-word-pools"],
@@ -562,6 +581,7 @@ class TestRecall:
             lambda m: {k: v for k, v in m.items() if k != "format_version"},
             lambda m: {**m, "format_version": 1},
             lambda m: {**m, "format_version": 2},
+            lambda m: {**m, "format_version": 3},
         ],
         ids=[
             "not-object",
@@ -570,6 +590,7 @@ class TestRecall:
             "no-format-version",
             "format-version-1",
             "format-version-2",
+            "format-version-3",
         ],
     )
     def test_malformed_manifest_is_a_data_error(self, workspace, tmp_path, edit):
@@ -710,21 +731,21 @@ class TestRecall:
             set_title(0, lambda corpus: ()),
             set_title(1, lambda corpus: corpus.documents[0].title_tokens),
             set_title(0, lambda corpus: (corpus.codec.vocab_size,)),
+            set_title(0, lambda corpus: (0,)),
             set_body_token(lambda corpus: corpus.codec.vocab_size + 5),
             set_body_token(lambda corpus: 0),
             set_doc_id(1, 0),
             set_body(0, []),
-            set_title_text(0, "Forged title"),
         ],
         ids=[
             "empty-title",
             "shared-title",
             "title-id-above-vocabulary",
+            "title-id-zero",
             "body-id-above-vocabulary",
             "body-id-zero",
             "duplicate-doc-id",
             "empty-body",
-            "forged-title-text",
         ],
     )
     def test_corpus_section_the_load_rejects_is_a_data_error(
@@ -732,6 +753,17 @@ class TestRecall:
     ):
         index_dir = copy_artifacts(workspace, tmp_path)
         rewrite_corpus(index_dir, workspace, edit)
+        assert recall_code(index_dir, workspace) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "codec_cls", [WordCodec, PieceCodec], ids=["word", "piece"]
+    )
+    def test_repeated_vocabulary_surface_is_a_data_error(
+        self, workspace, tmp_path, capsys, codec_cls
+    ):
+        index_dir = copy_artifacts(workspace, tmp_path)
+        rewrite_corpus(index_dir, workspace, repeat_surface(codec_cls))
         assert recall_code(index_dir, workspace) == 2
         assert "Traceback" not in capsys.readouterr().err
 
@@ -1027,6 +1059,18 @@ class TestEvaluate:
         assert "mean %" in printed
         assert "q1" in printed
 
+    def test_non_string_gold_value_is_a_data_error(self, tmp_path, caplog):
+        # Not loaded as the answer "None": gold values must be strings.
+        gold = tmp_path / "bad.jsonl"
+        gold.write_text(
+            json.dumps({"query": "q1", "gold_answers": [None]}) + "\n",
+            encoding="utf-8",
+        )
+        argv = ["evaluate", "--recall-output", self.write_recall_output(tmp_path)]
+        with caplog.at_level(logging.ERROR, logger="passrecall.cli"):
+            assert run_cli([*argv, "--gold", str(gold)]) == 2
+        assert any("line 1" in message for message in caplog.messages)
+
     def test_gold_query_missing_from_output_is_a_data_error(self, tmp_path):
         gold = tmp_path / "extra.jsonl"
         gold.write_text(
@@ -1219,6 +1263,16 @@ class TestUsage:
 
     def test_missing_required_argument_exits_one(self):
         assert run_cli(["build", "--corpus", "x.jsonl"]) == 1
+
+    def test_every_packaged_task_parses(self):
+        templates = default_templates()
+        for task, stages in templates.items():
+            args = cli.build_parser().parse_args(
+                ["recall", "--index-dir", "a", "--queries", "q", "--task", task]
+            )
+            config = cli._build_config(args)
+            assert config.stage1_template == stages[STAGE_ONE]
+            assert config.stage2_template == stages[STAGE_TWO]
 
 
 def _cli_imports(module: str) -> str:

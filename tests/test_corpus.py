@@ -66,6 +66,10 @@ class TestWordCodec:
             with pytest.raises(ValueError):
                 codec.surface(reserved)
 
+    def test_duplicate_surfaces_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            WordCodec(["alpha", "beta", "alpha"])
+
     def test_vocab_hash_changes_with_vocabulary(self):
         one = make_word_codec("alpha beta")
         two = make_word_codec("alpha gamma")
@@ -180,8 +184,7 @@ class TestIngest:
         records = self.records() + [{"id": "d3", "title": "Empty", "text": ["   "]}]
         with caplog.at_level(logging.WARNING, logger="passrecall.corpus"):
             corpus = ingest_corpus(records)
-        assert corpus.skipped_empty == 1
-        assert len(corpus) == 2
+        assert [doc.doc_id for doc in corpus.documents] == ["d1", "d2"]
         assert any("d3" in message for message in caplog.messages)
         # A skipped record's title stays out of the vocabulary.
         assert corpus.codec.token_id("Empty") is None
@@ -297,6 +300,12 @@ class TestJsonl:
 
 
 class TestPersistence:
+    def roundtrip(self, corpus):
+        buf = io.BytesIO()
+        save_corpus(corpus, buf)
+        buf.seek(0)
+        return load_corpus(buf)
+
     def test_roundtrip(self):
         corpus = ingest_corpus(
             [
@@ -304,27 +313,29 @@ class TestPersistence:
                 {"id": "d2", "title": "Beta", "text": ["four five six"]},
             ]
         )
-        buf = io.BytesIO()
-        save_corpus(corpus, buf)
-        buf.seek(0)
-        loaded = load_corpus(buf)
+        loaded = self.roundtrip(corpus)
         assert [d.doc_id for d in loaded.documents] == ["d1", "d2"]
+        # Titles are not stored: load decodes them from their tokens.
+        assert [d.title for d in loaded.documents] == ["Alpha", "Beta"]
         assert loaded.document("d1").body_tokens == corpus.document("d1").body_tokens
         assert loaded.codec.surfaces() == corpus.codec.surfaces()
         assert loaded.codec.vocab_hash() == corpus.codec.vocab_hash()
 
-    def test_skipped_empty_survives_roundtrip(self):
+    def test_piece_titles_decode_on_load(self):
+        codec = PieceCodec([" Alpha", " Be", "ta", " one", " two", " three"])
         corpus = ingest_corpus(
             [
                 {"id": "d1", "title": "Alpha", "text": ["one two three"]},
-                {"id": "d2", "title": "Empty", "text": ["  "]},
-            ]
+                {"id": "d2", "title": "  Beta ", "text": ["three two one"]},
+            ],
+            codec=codec,
         )
-        assert corpus.skipped_empty == 1
-        buf = io.BytesIO()
-        save_corpus(corpus, buf)
-        buf.seek(0)
-        assert load_corpus(buf).skipped_empty == 1
+        loaded = self.roundtrip(corpus)
+        assert type(loaded.codec) is PieceCodec
+        assert [d.title for d in loaded.documents] == ["Alpha", "Beta"]
+        assert [d.title_tokens for d in loaded.documents] == [
+            d.title_tokens for d in corpus.documents
+        ]
 
     def test_save_is_deterministic(self):
         corpus = ingest_corpus(
@@ -340,5 +351,5 @@ class TestPersistence:
         save_corpus(helpers.synthetic_corpus(), buf)
         digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == (
-            "9994c0b191ed5b6a1adeb2c3dfaccb3bc2569441445771daaa05cba7b06e51d0"
+            "62dc54fe81632d6ee82a5d296adb975cb5a81791a33c60a60798bd8a619a8b10"
         )

@@ -37,7 +37,7 @@ def substring_constraint(bodies):
     return SubstringConstraint(entries)
 
 
-def trained_scorer(streams, order=3, seed=None, rng_streams=0, alphabet=6):
+def trained_scorer(streams, seed=None, rng_streams=0, alphabet=6):
     streams = [list(stream) for stream in streams]
     if seed is not None:
         rng = random.Random(seed)
@@ -45,7 +45,7 @@ def trained_scorer(streams, order=3, seed=None, rng_streams=0, alphabet=6):
             streams.append(
                 [3 + rng.randrange(alphabet) for _ in range(rng.randrange(1, 20))]
             )
-    return NGramScorer.from_streams(streams, order)
+    return NGramScorer.from_streams(streams)
 
 
 def oracle_title_score(scorer, prompt, title, titles):

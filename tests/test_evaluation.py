@@ -208,6 +208,34 @@ class TestLoadGold:
         with pytest.raises(GoldFormatError, match="lists"):
             load_gold(path)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"query": None}, "must be strings"),
+            ({"query": 7}, "must be strings"),
+            ({"query": "q", "gold_provenance": [{"x": 1}]}, "must be strings"),
+            ({"query": "q", "gold_answers": [5, None]}, "must be strings"),
+            ({"query": "q", "gold_answers": ["a", None]}, "must be strings"),
+        ],
+        ids=[
+            "null-query",
+            "number-query",
+            "object-provenance",
+            "number-answers",
+            "null-answer",
+        ],
+    )
+    def test_non_string_gold_values_rejected(self, tmp_path, record, message):
+        path = self.write(tmp_path, '{"query": "ok"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(GoldFormatError, match=f"line 2: .*{message}"):
+            load_gold(path)
+
+    def test_invalid_json_error_is_chained(self, tmp_path):
+        path = self.write(tmp_path, "not json\n")
+        with pytest.raises(GoldFormatError) as info:
+            load_gold(path)
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
 
 class TestReports:
     def report(self):

@@ -258,7 +258,7 @@ class TestPersistence:
         save_index(doc.doc_id, build_suffix_array(doc.body_tokens[::-1]), buf)
         digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == (
-            "bef154f7454cd43950fc183fd70694ba93267486d3245551e141446c8778c30b"
+            "7c2d363eaab32de672fddd2e5a571c101d8ebf22b0f78a5be648a52e6f222259"
         )
 
 

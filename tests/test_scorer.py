@@ -90,8 +90,8 @@ def packed_counts(scorer):
     return out
 
 
-def streamed(streams, order=3):
-    oracle = oracles.StreamingNGramScorer(order)
+def streamed(streams):
+    oracle = oracles.StreamingNGramScorer()
     for stream in streams:
         oracle.add_stream(stream)
     return oracle
@@ -105,14 +105,6 @@ any_token = st.one_of(
 
 
 class TestNGramScorer:
-    def test_order_must_be_positive(self):
-        with pytest.raises(ValueError, match="order"):
-            NGramScorer.from_streams([], order=0)
-
-    def test_order_above_three_rejected(self):
-        with pytest.raises(ValueError, match="order"):
-            NGramScorer.from_streams([], order=4)
-
     @pytest.mark.parametrize("token", [-1, 2**32])
     def test_token_id_outside_32_bits_rejected(self, token):
         with pytest.raises(ValueError, match="token ids"):
@@ -121,34 +113,41 @@ class TestNGramScorer:
     def test_counts_beyond_32_bits_are_kept(self):
         # Bridge counts are multiplied by the body length, so one n-gram can
         # outgrow a u32 without the corpus holding 2**32 tokens.
-        counts = _Counts(order=1)
-        NGramScorer.add_stream(counts, [7])
-        counts.extra[7] += 2**33 - 1  # how corpus_scorer adds bridge counts
-        scorer = NGramScorer(1, counts.tables())
-        assert scorer.log_probs([], {7, 8}) == {
+        counts = _Counts()
+        NGramScorer.add_stream(counts, [5, 6, 7])
+        counts.extra[5 << 64 | 6 << 32 | 7] += 2**33 - 1  # as corpus_scorer does
+        scorer = NGramScorer(counts.tables())
+        assert scorer.tables[2][3].typecode == "Q"
+        assert scorer.log_probs([5, 6], {7, 8}) == {
             7: math.log((2**33 + 1) / (2**33 + 2)),
             8: math.log(1 / (2**33 + 2)),
         }
 
     def test_derived_row_sum_beyond_32_bits_is_kept(self):
-        # Each bigram count fits a u32; the unigram count of 7, their row
-        # sum, does not.
-        counts = _Counts(order=2)
+        # Each trigram count fits a u32; the bigram count of (5, 7), their
+        # row sum, does not, nor does the unigram count of 5 derived from it.
+        counts = _Counts()
         for last in (8, 9):
-            NGramScorer.add_stream(counts, [7, last])
-            counts.extra[7 << 32 | last] += 2**31
-        scorer = NGramScorer(2, counts.tables())
-        assert scorer.log_probs([7], {8, 9}) == {8: math.log(1 / 2), 9: math.log(1 / 2)}
-        assert scorer.tables[1][3].typecode == "I"
-        assert scorer.tables[0][3].typecode == "Q"
-        # 7: 2 * (2**31 + 1); 8 and 9 each end one stream.
-        assert scorer.log_probs([], {7, 8}) == {
-            7: math.log((2**32 + 3) / (2**32 + 5)),
-            8: math.log(2 / (2**32 + 5)),
+            NGramScorer.add_stream(counts, [5, 7, last])
+            counts.extra[5 << 64 | 7 << 32 | last] += 2**31
+        scorer = NGramScorer(counts.tables())
+        assert scorer.log_probs([5, 7], {8, 9}) == {
+            8: math.log(1 / 2),
+            9: math.log(1 / 2),
+        }
+        assert [table[3].typecode for table in scorer.tables] == ["Q", "Q", "I"]
+        # (5, 7): 2 * (2**31 + 1).
+        assert scorer.log_probs([5], {7, 8}) == {
+            7: math.log((2**32 + 3) / (2**32 + 4)),
+            8: math.log(1 / (2**32 + 4)),
+        }
+        # 5: 2 * (2**31 + 1); 7 starts the bigrams (7, 8) and (7, 9).
+        assert scorer.log_probs([], {5, 7}) == {
+            5: math.log((2**32 + 3) / (2**32 + 6)),
+            7: math.log(3 / (2**32 + 6)),
         }
 
     @given(
-        order=st.integers(min_value=1, max_value=3),
         streams=st.lists(
             st.lists(st.integers(min_value=0, max_value=8), max_size=12), max_size=6
         ),
@@ -160,29 +159,28 @@ class TestNGramScorer:
     @settings(max_examples=300, deadline=None)
     # Context tokens outside 32 bits, which a packed key would alias onto
     # the trained context (1, 5), score as an unseen context.
-    @example(order=3, streams=[[1, 5, 7]], context=[0, 2**32 + 5], cands={7, 8},
+    @example(streams=[[1, 5, 7]], context=[0, 2**32 + 5], cands={7, 8},
              with_end=False, wide=0)
-    @example(order=3, streams=[[1, 5, 7]], context=[1, 5 - 2**32], cands={7, 8},
+    @example(streams=[[1, 5, 7]], context=[1, 5 - 2**32], cands={7, 8},
              with_end=False, wide=0)
     # The lower orders are derived from the top one plus each stream's final
     # tokens: streams too short to hold a trigram, and final bigrams and
     # unigrams shared by several streams.
-    @example(order=3, streams=[[]], context=[], cands={0, 3}, with_end=False, wide=0)
-    @example(order=3, streams=[[4]], context=[], cands={3, 4}, with_end=False, wide=0)
-    @example(order=3, streams=[[4, 5]], context=[4], cands={4, 5}, with_end=False,
-             wide=0)
-    @example(order=3, streams=[[1, 4, 5], [2, 4, 5], [4, 5], [3, 4, 5, 4]],
+    @example(streams=[[]], context=[], cands={0, 3}, with_end=False, wide=0)
+    @example(streams=[[4]], context=[], cands={3, 4}, with_end=False, wide=0)
+    @example(streams=[[4, 5]], context=[4], cands={4, 5}, with_end=False, wide=0)
+    @example(streams=[[1, 4, 5], [2, 4, 5], [4, 5], [3, 4, 5, 4]],
              context=[4], cands={4, 5, 6}, with_end=False, wide=0)
     def test_log_probs_match_the_streaming_oracle(
-        self, order, streams, context, cands, with_end, wide
+        self, streams, context, cands, with_end, wide
     ):
         if with_end:
             cands = cands | {END_ID}
         # A wide set over a 9-token alphabet: most counts are 0, the rest
         # repeat, so one cached log serves many candidates.
         cands = cands | set(range(wide))
-        scorer = NGramScorer.from_streams(streams, order)
-        oracle = streamed(streams, order)
+        scorer = NGramScorer.from_streams(streams)
+        oracle = streamed(streams)
         # Every trained context, then one that may be unseen or out of range.
         contexts = [stream[:i] for stream in streams for i in range(len(stream) + 1)]
         for ctx in contexts + [context]:
@@ -207,16 +205,16 @@ class TestNGramScorer:
         # Stream "a b a b": after "a", "b" has been seen twice, "a" never.
         codec = WordCodec.build(["a b"])
         a, b = codec.encode("a"), codec.encode("b")
-        scorer = NGramScorer.from_streams([codec.encode("a b a b")], order=2)
+        scorer = NGramScorer.from_streams([codec.encode("a b a b")])
         got = scorer.log_probs(a, {a[0], b[0]})
         assert got[b[0]] > got[a[0]]
         assert got[b[0]] == math.log(3 / 4)
         assert got[a[0]] == math.log(1 / 4)
 
     def test_context_uses_only_the_last_order_minus_one_tokens(self):
-        scorer = NGramScorer.from_streams([[3, 4]], order=2)
-        long_context = scorer.log_probs([9, 9, 9, 3], {4, 5})
-        short_context = scorer.log_probs([3], {4, 5})
+        scorer = NGramScorer.from_streams([[3, 4, 5]])
+        long_context = scorer.log_probs([9, 9, 9, 3, 4], {5, 6})
+        short_context = scorer.log_probs([3, 4], {5, 6})
         assert long_context == short_context
 
     def test_short_context_uses_short_tables(self):

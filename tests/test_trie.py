@@ -121,7 +121,7 @@ class TestPersistence:
         save_trie(build_trie(helpers.synthetic_corpus()), buf)
         digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == (
-            "c51e001402b404f4a4202a3a5fb031749ff76ebe5df538c18b1086cb3f2bf772"
+            "1276ab606eee8da68c01e5256473282ec602784cfca05d5e1b96acbb6f55e45f"
         )
 
     def test_very_long_title_roundtrips(self, tmp_path):
