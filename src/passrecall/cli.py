@@ -135,7 +135,7 @@ def load_artifacts(index_dir: str) -> Artifacts:
     with open(os.path.join(index_dir, MANIFEST_NAME), encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"manifest unreadable: {exc}") from exc
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
@@ -182,7 +182,7 @@ def _build_config(args: argparse.Namespace) -> RecallConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_conf = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_conf, dict):
             raise DataError("config file must hold a JSON object")
@@ -335,7 +335,7 @@ def read_recall_output(path: str) -> tuple[dict, list[dict]]:
         raise DataError("recall output is empty")
     try:
         header, *records = [json.loads(line) for _, line in lines]
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"recall output unreadable: {exc}") from exc
     if not isinstance(header, dict) or "metadata" not in header:
         raise DataError("recall output lacks the metadata header line")
@@ -367,9 +367,20 @@ def _evaluate_records(
     return aggregate(results)
 
 
+def _load_evaluable_gold(path: str) -> list[EvalItem]:
+    """Gold items, at least one of them with provenance or answers to score."""
+    items = load_gold(path)
+    if not any(item.gold_provenance or item.gold_answers for item in items):
+        raise DataError(
+            f"gold file {path} holds no item with gold_provenance or "
+            "gold_answers to evaluate"
+        )
+    return items
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _, records = read_recall_output(args.recall_output)
-    items = load_gold(args.gold)
+    items = _load_evaluable_gold(args.gold)
     report = _evaluate_records(items, records)
     text = report_table(report) if args.table else report_json(report)
     print(text)
@@ -398,15 +409,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise DataError("no sweep values given")
 
-    # Every swept config is checked before the costly load and training.
+    # Every swept config and the gold file are checked before the costly
+    # load and training.
     base_config = _build_config(args)
     try:
         configs = [replace(base_config, **{args.axis: value}) for value in values]
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad sweep value: {exc}") from exc
+    items = _load_evaluable_gold(args.gold)
     artifacts = load_artifacts(args.index_dir)
     scorer, _ = _make_scorer(args, artifacts)
-    items = load_gold(args.gold)
     queries = [item.query for item in items]
 
     buffer = io.StringIO()

@@ -4,8 +4,9 @@ Records arrive as JSON lines with ``id``, ``title``, and ``text`` (an ordered
 array of passage fragments).  Fragments are merged into one complete document
 per record, and a shared token codec is built over all titles and bodies so
 constraints, scorers, and indexes agree on the token alphabet.  A document
-keeps its body only as token ids, in an ``array('I')``; passage text is
-decoded from them, so a passage is always an exact slice of the indexed body.
+keeps its title and body only as token ids, the body in an ``array('I')``;
+title and passage text are decoded from them, so a title is always the text
+of a trie path and a passage an exact slice of the indexed body.
 
 Token ids 0, 1, 2 are reserved: 0 ends a generated sequence, 1 is the index
 sentinel (sorts below every real token), 2 is the unknown token.  Real tokens
@@ -202,10 +203,13 @@ _CODEC_KINDS = {"word": WordCodec, "piece": PieceCodec}
 
 @dataclass
 class Document:
-    """One complete document: normalized title plus encoded title and body."""
+    """One complete document: its id and its encoded title and body.
+
+    The title tokens are the only copy of the title; its text is
+    ``codec.decode(title_tokens)``.
+    """
 
     doc_id: str
-    title: str
     title_tokens: tuple[int, ...]
     body_tokens: array
 
@@ -215,8 +219,8 @@ class Corpus:
     """Immutable recall substrate: documents and their shared codec.
 
     Valid by construction: at least one document, distinct ids, non-empty
-    titles and bodies of ids in ``[FIRST_ID, vocab_size)``, distinct title
-    tokens, each ``title`` the text of its tokens; else ``IngestError``.
+    titles and bodies of ids in ``[FIRST_ID, vocab_size)`` and distinct
+    title tokens; else ``IngestError``.
     """
 
     documents: list[Document]
@@ -235,7 +239,7 @@ class Corpus:
             for name, toks in (("title", doc.title_tokens), ("body", doc.body_tokens)):
                 if not toks:
                     raise IngestError(f"document {doc_id!r}: empty {name}")
-                # Before the title checks: an uncovered title reports that.
+                # Before the title check, whose message decodes the title.
                 if not (FIRST_ID <= min(toks) and max(toks) < self.codec.vocab_size):
                     raise IngestError(
                         f"document {doc_id!r}: {name} holds token ids outside "
@@ -244,17 +248,9 @@ class Corpus:
             other = by_title.setdefault(doc.title_tokens, doc_id)
             if other != doc_id:
                 raise IngestError(
-                    f"duplicate title {doc.title!r} in documents {other!r} "
-                    f"and {doc_id!r}"
+                    f"duplicate title {self.codec.decode(doc.title_tokens)!r} "
+                    f"in documents {other!r} and {doc_id!r}"
                 )
-            if doc.title != self.codec.decode(doc.title_tokens):
-                raise IngestError(
-                    f"document {doc_id!r}: title {doc.title!r} is not the text "
-                    "of its title tokens"
-                )
-
-    def __len__(self) -> int:
-        return len(self.documents)
 
     def document(self, doc_id: str) -> Document:
         return self._by_id[doc_id]
@@ -273,9 +269,6 @@ def ingest_corpus(
     kept title and body.  ``Corpus`` checks the result, so a supplied codec
     must cover every title and body.
     """
-    # Normalization needs no vocabulary, so titles are normalized before
-    # the codec exists.
-    normalize_text = (codec or WordCodec).normalize_text
     staged = []
     for position, record in enumerate(records):
         doc_id, title, fragments = _validate_record(position, record)
@@ -284,7 +277,7 @@ def ingest_corpus(
         if not body.strip():
             logger.warning("record %r: empty body, skipped", doc_id)
             continue
-        staged.append((doc_id, normalize_text(title), body))
+        staged.append((doc_id, title, body))
 
     if codec is None:
         codec = WordCodec.build(
@@ -292,7 +285,7 @@ def ingest_corpus(
         )
     encode = codec.encode
     documents = [
-        Document(doc_id, title, tuple(encode(title)), array("I", encode(body)))
+        Document(doc_id, tuple(encode(title)), array("I", encode(body)))
         for doc_id, title, body in staged
     ]
     return Corpus(documents=documents, codec=codec)
@@ -322,7 +315,7 @@ def iter_jsonl_records(path: str) -> Iterator[Mapping]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise IngestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise IngestError(f"{path}:{lineno}: record is not a JSON object")
@@ -370,12 +363,5 @@ def load_corpus(handle: BinaryIO) -> Corpus:
     for _ in range(reader.u64()):
         doc_id = reader.text()
         title_tokens = tuple(reader.u32_array())
-        try:
-            title = codec.decode(title_tokens)
-        except (IndexError, ValueError) as exc:  # a reserved or too large id
-            raise IngestError(
-                f"document {doc_id!r}: title holds token ids outside the codec "
-                f"vocabulary [{FIRST_ID}, {codec.vocab_size})"
-            ) from exc
-        documents.append(Document(doc_id, title, title_tokens, reader.u32_array()))
+        documents.append(Document(doc_id, title_tokens, reader.u32_array()))
     return Corpus(documents=documents, codec=codec)

@@ -129,7 +129,7 @@ def load_gold(path: str) -> list[EvalItem]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise GoldFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict) or "query" not in record:
                 raise GoldFormatError(f"line {lineno}: record needs a 'query'")

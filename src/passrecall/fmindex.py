@@ -10,9 +10,10 @@ rows; the tokens that can follow a prefix are the distinct symbols in its
 BWT rows, read from the symbol table for the full range and by one scan of
 the rows for any narrower one.  Every table is a flat ``array('I')``.  An
 index section stores only the document id and the suffix array, so
-``passrecall build`` computes only the suffix array; ``load_index`` builds
-the BWT and rank tables from it and the body tokens.  ``BWTIndex.build``
-makes a whole index in memory.
+``passrecall build`` computes only the suffix array; ``load_index`` checks
+the stored id against the document's and builds the BWT and rank tables
+from the suffix array and the body tokens.  ``BWTIndex.build`` makes a
+whole index in memory.
 """
 
 from __future__ import annotations
@@ -101,16 +102,14 @@ class BWTIndex:
     the sorted distinct symbols, and the group of ``symbols[i]`` is
     ``occ[bounds[i]:bounds[i + 1]]``.  So ``bounds[i]`` is the C-table entry
     of ``symbols[i]``, and a row's place in ``occ`` is its LF-mapped row.
+    An index holds no document id, since callers key it by one, and no
+    text length, which is ``len(sa) - 1``.
     """
 
-    def __init__(
-        self, tokens: Sequence[int], sa: array, doc_id: str | None = None
-    ):
+    def __init__(self, tokens: Sequence[int], sa: array):
         """``sa`` is the suffix array of ``tokens`` reversed."""
         self.bwt = bwt_from_sa(tokens[::-1], sa)
         self.sa = sa
-        self.text_len = len(tokens)
-        self.doc_id = doc_id
         groups: dict[int, list[int]] = defaultdict(list)
         for row, symbol in enumerate(self.bwt):
             groups[symbol].append(row)
@@ -123,10 +122,10 @@ class BWTIndex:
         self._full_range = SearchRange(0, len(self.bwt))
 
     @classmethod
-    def build(cls, tokens: Sequence[int], doc_id: str | None = None) -> "BWTIndex":
+    def build(cls, tokens: Sequence[int]) -> "BWTIndex":
         if min(tokens, default=FIRST_ID) < FIRST_ID:
             raise ValueError("document tokens may not contain reserved ids")
-        return cls(tokens, array("I", build_suffix_array(tokens[::-1])), doc_id)
+        return cls(tokens, array("I", build_suffix_array(tokens[::-1])))
 
     def full_range(self) -> SearchRange:
         return self._full_range
@@ -174,9 +173,10 @@ class BWTIndex:
         """Sorted start offsets of the ``length``-token pattern matched by ``rng``.
 
         Row r's suffix of the reversed text begins with the reversed pattern,
-        so the pattern ends at text_len - 1 - sa[r] in the original text.
+        so the pattern ends at n - 1 - sa[r] in an original text of n tokens,
+        where ``sa`` holds n + 1 rows.
         """
-        shift = self.text_len - length
+        shift = len(self.sa) - 1 - length
         return sorted(shift - self.sa[row] for row in range(rng.lo, rng.hi))
 
     def locate_all(self, pattern: Sequence[int]) -> list[int]:
@@ -208,4 +208,4 @@ def load_index(handle: BinaryIO, doc: Document) -> BWTIndex:
             f"index section of {doc_id!r} does not hold a suffix array over "
             f"the {len(doc.body_tokens)} body tokens of document {doc.doc_id!r}"
         )
-    return BWTIndex(doc.body_tokens, sa, doc_id)
+    return BWTIndex(doc.body_tokens, sa)

@@ -105,7 +105,6 @@ class RecallConfig:
 
 @dataclass(frozen=True)
 class StageOneResult:
-    title: str
     doc_id: str
     score1: float
 
@@ -141,14 +140,8 @@ def recall_titles(
     )
     if not results:
         raise DeadEndError("no title could be generated for this query")
-    out = []
-    for result in results:
-        # A finished title ends on a terminal node, which names its document.
-        doc = corpus.document(result.constraint.node.doc_id)
-        out.append(
-            StageOneResult(title=doc.title, doc_id=doc.doc_id, score1=result.score)
-        )
-    return out
+    # A finished title ends on a terminal node, which names its document.
+    return [StageOneResult(r.constraint.node.doc_id, r.score) for r in results]
 
 
 def select_documents(
@@ -297,7 +290,7 @@ class RecallEngine:
             references.append(
                 Reference(
                     doc_id=doc_id,
-                    title=doc.title,
+                    title=corpus.codec.decode(doc.title_tokens),
                     start=start,
                     prefix=head,
                     passage=passage,

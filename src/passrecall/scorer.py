@@ -366,7 +366,7 @@ class RemoteScorer:
     def _parse(response: requests.Response, cands: list[int]) -> dict[int, float]:
         try:
             body = response.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ScorerProtocolError(f"non-JSON response: {exc}") from exc
         if not isinstance(body, Mapping):
             raise ScorerProtocolError("response is not a JSON object")

@@ -74,7 +74,7 @@ def synthetic_corpus(**kwargs) -> Corpus:
 
 def build_indexes(corpus: Corpus) -> dict[str, BWTIndex]:
     return {
-        doc.doc_id: BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id)
+        doc.doc_id: BWTIndex.build(doc.body_tokens)
         for doc in corpus.documents
     }
 
@@ -154,4 +154,5 @@ def serve_scorer(inner):
         yield f"http://127.0.0.1:{server.server_port}/score"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join()

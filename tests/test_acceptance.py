@@ -118,7 +118,7 @@ def test_criterion_03_fmindex_successor_example():
         corpus = ingest_corpus(records)
         codec = corpus.codec
         entries = [
-            (doc.doc_id, BWTIndex.build(doc.body_tokens, doc_id=doc.doc_id))
+            (doc.doc_id, BWTIndex.build(doc.body_tokens))
             for doc in corpus.documents
         ]
         state = SubstringConstraint(entries)
@@ -252,7 +252,7 @@ def test_criterion_05_decode_soundness():
                 for _ in range(rng.randint(1, 3))
             ]
             entries = [
-                (f"d{j}", BWTIndex.build(body, doc_id=f"d{j}"))
+                (f"d{j}", BWTIndex.build(body))
                 for j, body in enumerate(bodies)
             ]
             scorer = _random_scorer(rng, alphabet)
@@ -337,7 +337,7 @@ def test_criterion_06_exhaustive_beam_equivalence():
             if not finishers or len(finishers) > 64:
                 continue
             entries = [
-                (f"d{j}", BWTIndex.build(body, doc_id=f"d{j}"))
+                (f"d{j}", BWTIndex.build(body))
                 for j, body in enumerate(bodies)
             ]
             scorer = _random_scorer(rng, alphabet)

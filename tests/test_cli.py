@@ -423,6 +423,84 @@ def test_unreadable_input_is_a_data_error(workspace, tmp_path, capsys, make_argv
     assert "Traceback" not in capsys.readouterr().err
 
 
+# One line nested far deeper than the JSON decoder's recursion limit.
+DEEPLY_NESTED = "[" * 200_000 + "]" * 200_000
+
+
+def _recall_argv(index_dir, workspace, tmp_path, *extra):
+    return ["recall", "--index-dir", index_dir,
+            "--queries", workspace["queries_path"],
+            "--output", str(tmp_path / "never.jsonl"), *extra]
+
+
+def _nested_corpus(workspace, tmp_path, monkeypatch):
+    (tmp_path / "corpus.jsonl").write_text(DEEPLY_NESTED + "\n", encoding="utf-8")
+    return ["build", "--corpus", str(tmp_path / "corpus.jsonl"),
+            "--out", str(tmp_path / "out")]
+
+
+def _nested_gold(workspace, tmp_path, monkeypatch):
+    (tmp_path / "recall.jsonl").write_text('{"metadata": {}}\n', encoding="utf-8")
+    (tmp_path / "gold.jsonl").write_text(DEEPLY_NESTED + "\n", encoding="utf-8")
+    return ["evaluate", "--recall-output", str(tmp_path / "recall.jsonl"),
+            "--gold", str(tmp_path / "gold.jsonl")]
+
+
+def _nested_recall_output(workspace, tmp_path, monkeypatch):
+    (tmp_path / "recall.jsonl").write_text(DEEPLY_NESTED + "\n", encoding="utf-8")
+    return ["evaluate", "--recall-output", str(tmp_path / "recall.jsonl"),
+            "--gold", workspace["gold_path"]]
+
+
+def _nested_config(workspace, tmp_path, monkeypatch):
+    (tmp_path / "conf.json").write_text(DEEPLY_NESTED, encoding="utf-8")
+    return _recall_argv(workspace["index_dir"], workspace, tmp_path,
+                        "--config", str(tmp_path / "conf.json"))
+
+
+def _nested_manifest(workspace, tmp_path, monkeypatch):
+    index_dir = copy_artifacts(workspace, tmp_path)
+    with open(os.path.join(index_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        fh.write(DEEPLY_NESTED)
+    return _recall_argv(index_dir, workspace, tmp_path)
+
+
+def _nested_scorer_reply(workspace, tmp_path, monkeypatch):
+    # A canned reply in place of the HTTP exchange: no server, no thread.
+    import requests
+
+    def post(self, url, **kwargs):
+        response = requests.Response()
+        response.status_code = 200
+        response.encoding = "utf-8"
+        response._content = DEEPLY_NESTED.encode("utf-8")
+        return response
+
+    monkeypatch.setattr(requests.Session, "post", post)
+    return _recall_argv(workspace["index_dir"], workspace, tmp_path,
+                        "--scorer", "remote", "--endpoint", "http://127.0.0.1:9/score")
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        _nested_corpus,
+        _nested_gold,
+        _nested_recall_output,
+        _nested_config,
+        _nested_manifest,
+        _nested_scorer_reply,
+    ],
+    ids=lambda make_argv: make_argv.__name__.strip("_").replace("_", "-"),
+)
+def test_deeply_nested_json_is_a_data_error(
+    workspace, tmp_path, monkeypatch, capsys, make_argv
+):
+    assert run_cli(make_argv(workspace, tmp_path, monkeypatch)) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "never.jsonl").exists()
+
+
 class TestRecall:
     def test_output_schema(self, workspace, tmp_path):
         path = recall_to(workspace, tmp_path / "out.jsonl")
@@ -1071,6 +1149,22 @@ class TestEvaluate:
             assert run_cli([*argv, "--gold", str(gold)]) == 2
         assert any("line 1" in message for message in caplog.messages)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [{"query": "q1"}, {"query": "q2", "gold_answers": []}]],
+        ids=["empty-file", "no-gold-fields"],
+    )
+    def test_gold_with_nothing_to_evaluate_is_a_data_error(
+        self, tmp_path, capsys, caplog, rows
+    ):
+        gold = tmp_path / "unscored.jsonl"
+        gold.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        argv = ["evaluate", "--recall-output", self.write_recall_output(tmp_path)]
+        with caplog.at_level(logging.ERROR, logger="passrecall.cli"):
+            assert run_cli([*argv, "--gold", str(gold)]) == 2
+        assert any(str(gold) in message for message in caplog.messages)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_gold_query_missing_from_output_is_a_data_error(self, tmp_path):
         gold = tmp_path / "extra.jsonl"
         gold.write_text(
@@ -1235,6 +1329,22 @@ class TestSweep:
             ]
         )
         assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows", [[], [{"query": "late winter"}]], ids=["empty-file", "no-gold-fields"]
+    )
+    def test_gold_with_nothing_to_evaluate_exits_before_loading(
+        self, workspace, tmp_path, monkeypatch, capsys, caplog, rows
+    ):
+        gold = tmp_path / "unscored.jsonl"
+        gold.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        monkeypatch.setattr(cli, "load_artifacts", lambda *_: pytest.fail("loaded"))
+        argv = ["sweep", "--index-dir", workspace["index_dir"], "--gold", str(gold)]
+        with caplog.at_level(logging.ERROR, logger="passrecall.cli"):
+            code = run_cli([*argv, "--axis", "k", "--values", "1,2"])
+        assert code == 2
+        assert any(str(gold) in message for message in caplog.messages)
         assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_axis_rejected_by_parser(self, workspace):

@@ -31,7 +31,7 @@ def trie_from(titles):
 
 def substring_constraint(bodies):
     entries = [
-        (f"doc-{i}", BWTIndex.build(list(body), doc_id=f"doc-{i}"))
+        (f"doc-{i}", BWTIndex.build(list(body)))
         for i, body in enumerate(bodies)
     ]
     return SubstringConstraint(entries)

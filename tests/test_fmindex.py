@@ -148,8 +148,8 @@ class TestBWTIndexReversed:
         # The full range is answered from c_table, not from the BWT rows.
         entries = []
         for i, body in enumerate(bodies):
-            doc = Document(f"doc-{i}", "t", (3,), tuple(body))
-            index = BWTIndex.build(body, doc_id=doc.doc_id)
+            doc = Document(f"doc-{i}", (3,), tuple(body))
+            index = BWTIndex.build(body)
             buf = io.BytesIO()
             save_index(doc.doc_id, index.sa, buf)
             buf.seek(0)
@@ -183,7 +183,7 @@ class TestBWTIndexReversed:
 class TestSubstringConstraint:
     def build_set(self, bodies):
         entries = [
-            (f"doc-{i}", BWTIndex.build(body, doc_id=f"doc-{i}"))
+            (f"doc-{i}", BWTIndex.build(body))
             for i, body in enumerate(bodies)
         ]
         return SubstringConstraint(entries)
@@ -234,22 +234,21 @@ class TestSubstringConstraint:
 class TestPersistence:
     def test_roundtrip_behavior(self):
         text = [5, 3, 4, 3, 5, 5, 4]
-        index = BWTIndex.build(text, doc_id="doc-9")
+        index = BWTIndex.build(text)
         buf = io.BytesIO()
-        save_index(index.doc_id, index.sa, buf)
+        save_index("doc-9", index.sa, buf)
         buf.seek(0)
-        loaded = load_index(buf, Document("doc-9", "t", (3,), tuple(text)))
-        assert loaded.doc_id == "doc-9"
-        assert loaded.text_len == len(text)
+        loaded = load_index(buf, Document("doc-9", (3,), tuple(text)))
+        assert len(loaded.sa) == len(text) + 1
         assert loaded.sa == index.sa and loaded.bwt == index.bwt
         assert loaded.locate_all([3, 5]) == index.locate_all([3, 5])
         assert loaded.range_successors(loaded.full_range()) == set(text)
 
     def test_save_is_deterministic(self):
-        index = BWTIndex.build([4, 4, 3, 5], doc_id="doc-1")
+        index = BWTIndex.build([4, 4, 3, 5])
         a, b = io.BytesIO(), io.BytesIO()
-        save_index(index.doc_id, index.sa, a)
-        save_index(index.doc_id, index.sa, b)
+        save_index("doc-1", index.sa, a)
+        save_index("doc-1", index.sa, b)
         assert a.getvalue() == b.getvalue()
 
     def test_bytes_of_synthetic_fixture_unchanged(self):
@@ -279,11 +278,11 @@ class TestArrayBackedIndex:
         ids=["one-token", "one-token-5000-times", "holds-2**32-1"],
     )
     def test_built_and_loaded_match_oracles(self, body):
-        built = BWTIndex.build(body, doc_id="doc-x")
+        built = BWTIndex.build(body)
         buf = io.BytesIO()
-        save_index(built.doc_id, built.sa, buf)
+        save_index("doc-x", built.sa, buf)
         buf.seek(0)
-        doc = Document("doc-x", "t", (3,), array("I", body))
+        doc = Document("doc-x", (3,), array("I", body))
         loaded = load_index(buf, doc)
         rng = random.Random(len(body))
         rows = len(body) + 1

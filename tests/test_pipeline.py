@@ -30,9 +30,9 @@ UNTRAINED = NGramScorer.from_streams([])
 class TestSelectDocuments:
     def results(self):
         return [
-            StageOneResult("T1", "d1", -0.1),
-            StageOneResult("T2", "d2", -0.3),
-            StageOneResult("T3", "d3", -0.4),
+            StageOneResult("d1", -0.1),
+            StageOneResult("d2", -0.3),
+            StageOneResult("d3", -0.4),
         ]
 
     def test_takes_top_k_distinct(self):
@@ -202,17 +202,19 @@ class TestRecallTitles:
             "anything at all", corpus, trie, UNTRAINED, helpers.plain_config()
         )
         assert [r.doc_id for r in results] == ["d1"]
-        assert results[0].title == "only doc"
+        title_tokens = corpus.document(results[0].doc_id).title_tokens
+        assert corpus.codec.decode(title_tokens) == "only doc"
 
     def test_query_equal_to_title_ranks_that_title_first(self):
         corpus, trie, _, scorer = small_fixture()
         config = helpers.plain_config()
         for doc in corpus.documents[:4]:
-            results = recall_titles(doc.title, corpus, trie, scorer, config)
-            assert results[0].doc_id == doc.doc_id, doc.title
+            title = corpus.codec.decode(doc.title_tokens)
+            results = recall_titles(title, corpus, trie, scorer, config)
+            assert results[0].doc_id == doc.doc_id, title
             # Cross-check the top score against exhaustive scoring.
             titles = [d.title_tokens for d in corpus.documents]
-            prompt = corpus.codec.encode(doc.title)
+            prompt = corpus.codec.encode(title)
             expected = max(
                 oracles.score_sequence(
                     scorer,
@@ -255,9 +257,8 @@ class TestRecallTitles:
 
     def test_results_sorted_by_score(self):
         corpus, trie, _, scorer = small_fixture()
-        results = recall_titles(
-            corpus.documents[0].title, corpus, trie, scorer, helpers.plain_config()
-        )
+        title = corpus.codec.decode(corpus.documents[0].title_tokens)
+        results = recall_titles(title, corpus, trie, scorer, helpers.plain_config())
         scores = [r.score1 for r in results]
         assert scores == sorted(scores, reverse=True)
 
@@ -281,8 +282,8 @@ class TestRecallPrefixes:
         scorer = NGramScorer.from_streams([planted_tokens])
         config = helpers.plain_config(prefix_len=8, passage_len=20, beam2=20)
         selected = [
-            StageOneResult("planted page", "d1", -0.1),
-            StageOneResult("other page", "d2", -0.2),
+            StageOneResult("d1", -0.1),
+            StageOneResult("d2", -0.2),
         ]
         results = recall_prefixes(
             "the quick silver owl", selected, indexes, corpus, scorer, config
@@ -309,7 +310,7 @@ class TestRecallPrefixes:
 
     def test_missing_index_names_document(self):
         corpus, _, indexes, scorer = small_fixture(num_docs=3)
-        selected = [StageOneResult("t", corpus.documents[0].doc_id, -0.1)]
+        selected = [StageOneResult(corpus.documents[0].doc_id, -0.1)]
         del indexes[corpus.documents[0].doc_id]
         with pytest.raises(KeyError, match=corpus.documents[0].doc_id):
             recall_prefixes(
