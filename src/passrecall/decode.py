@@ -13,7 +13,12 @@ Each beam step first cuts every parent's children to its own best
 ``beam_size``, then keeps the best ``beam_size`` of what is left.  The cut
 is exact: both rankings use the key ``(-(cum + lp), tokens)``, which orders
 one parent's children the same way, so a child its parent's cut drops has
-``beam_size`` siblings ahead of it in the global ranking too.
+``beam_size`` siblings ahead of it in the global ranking too.  A parent
+builds keys only for the children its scorer lists and for the
+``beam_size`` smallest ids among the rest.  That drops nothing the full cut
+would keep: every unlisted child has the same log-prob ``rest``, so they
+share one key, and each one dropped has ``beam_size`` unlisted siblings
+with smaller ids ahead of it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import heapq
 import logging
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, neg
 from typing import Protocol, Sequence
 
 from .corpus import END_ID
@@ -191,17 +195,19 @@ def constrained_beam_search(
             allowed = hyp.constraint.allowed() if hyp.tokens else root_allowed
             if not allowed:
                 continue
-            log_probs = scorer.log_probs(prompt + list(hyp.tokens), allowed)
-            tokens = allowed
-            if END_ID in allowed:
-                if hyp.tokens:
-                    finished.append(hyp)
-                tokens = allowed - {END_ID}
+            scores, rest = scorer.log_probs(prompt + list(hyp.tokens), allowed)
+            if hyp.tokens and END_ID in allowed:
+                finished.append(hyp)
+            cum = hyp.cum_logprob
             # The per-parent cut uses the global key, not lp alone: float
             # addition can tie children whose lp differ.
-            lps = map(log_probs.__getitem__, tokens)
-            keys = zip(map(neg, map(add, repeat(hyp.cum_logprob), lps)), tokens)
-            if len(tokens) > config.beam_size:
+            keys = [(-(cum + lp), tok) for tok, lp in scores.items() if tok != END_ID]
+            unscored = allowed.difference(scores, (END_ID,))
+            if unscored:
+                # They share one key, so only the smallest ids can survive.
+                smallest = heapq.nsmallest(config.beam_size, unscored)
+                keys += zip(repeat(-(cum + rest)), smallest)
+            if len(keys) > config.beam_size:
                 keys = heapq.nsmallest(config.beam_size, keys)
             candidates.extend(
                 (neg_logprob, hyp.tokens + (token,), hyp)

@@ -6,7 +6,8 @@ tokens) constrained to be a verbatim substring of those documents, reads
 its first occurrence off the suffix-array range the decoder ends on in the
 first document it is still live in, and extracts passage_len tokens from
 there.  The two stage scores are combined as alpha * score1 + (1 - alpha) *
-score2 and references are ranked by the combined value.
+score2, where a weight of 0 drops its term, and references are ranked by
+the combined value.
 """
 
 from __future__ import annotations
@@ -214,6 +215,11 @@ def extract_reference(doc: Document, start: int, passage_len: int) -> array:
 
 
 def combine_scores(score1: float, score2: float, alpha: float) -> float:
+    # A weight of 0 drops its term: 0.0 * -inf would make the sum NaN.
+    if alpha == 1:
+        return score1
+    if alpha == 0:
+        return score2
     return alpha * score1 + (1 - alpha) * score2
 
 
@@ -229,8 +235,8 @@ def _rescore_passage(
     total = 0.0
     context = list(prompt)
     for token in passage:
-        log_probs = scorer.log_probs(context, constraint.allowed())
-        total += log_probs[token]
+        scores, rest = scorer.log_probs(context, constraint.allowed())
+        total += scores.get(token, rest)
         constraint = constraint.step(token)
         context.append(token)
     return total / len(passage)

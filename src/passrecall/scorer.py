@@ -1,13 +1,19 @@
 """The model boundary: prompt rendering and next-token log-probabilities.
 
 Every decoder in this package talks to a scorer through one contract:
-given a token context and a nonempty candidate set, return a log-probability
-per candidate.  ``NGramScorer`` is the deterministic in-process stand-in;
-``RemoteScorer`` forwards the same calls to an HTTP endpoint that fronts a
-real model.  ``NGramScorer`` normalizes within the candidate set only.  That
-is a known defect: the beam ranks children of different parents together,
-so values normalized over different allowed sets are compared, and a token
-forced by a one-element set scores 0 whatever the context (ROADMAP item 1).
+given a token context and a nonempty candidate set, return ``(scores,
+rest)``: ``scores`` maps some candidates to their log-probabilities, and
+every candidate it leaves out has log-probability ``rest``.
+``NGramScorer`` is the deterministic in-process stand-in.  Most candidates
+of a wide set were never seen after the context and share one add-one
+value, so it lists only the seen ones, and a decoder pays for those rather
+than for the whole set.  ``RemoteScorer`` forwards the same calls to an
+HTTP endpoint that fronts a real model; it lists every candidate, with
+``rest = -inf``.  ``NGramScorer`` normalizes within the candidate set only.
+That is a known defect: the beam ranks children of different parents
+together, so values normalized over different allowed sets are compared,
+and a token forced by a one-element set scores 0 whatever the context
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -83,9 +89,11 @@ def default_templates() -> dict[str, dict[str, PromptTemplate]]:
 
 class TokenScorer(Protocol):
     def log_probs(
-        self, context: Sequence[int], candidates: Iterable[int]
-    ) -> dict[int, float]:
-        """One finite-or-``-inf`` log-probability per candidate, never NaN."""
+        self, context: Sequence[int], candidates: set[int]
+    ) -> tuple[dict[int, float], float]:
+        """``(scores, rest)``: ``scores`` maps some candidates to their
+        log-probs, and every candidate it does not list has log-prob
+        ``rest``.  Each value is finite or ``-inf``, never NaN."""
         ...
 
 
@@ -101,7 +109,9 @@ class NGramScorer:
     Counts are kept for every context length from 0 to 2, so short
     contexts are first-class rather than a backoff special case.  Smoothing
     is add-one over the candidate set: p(c) = (count(c)+1) / (total+|set|),
-    which sums to exactly 1 within the set.
+    which sums to exactly 1 within the set.  ``log_probs`` lists only the
+    candidates seen after the context; the rest have count 0 and share
+    ``log(1 / (total+|set|))``.
 
     ``tables[m]``, made by ``from_streams`` or ``corpus_scorer``, is context
     length m's CSR table ``(contexts, start, toks, counts)``: ``contexts``
@@ -130,15 +140,17 @@ class NGramScorer:
             ends.update(_packed(tokens[-m:], m))
 
     def log_probs(
-        self, context: Sequence[int], candidates: Iterable[int]
-    ) -> dict[int, float]:
-        cands = sorted(set(candidates))
-        if not cands:
+        self, context: Sequence[int], candidates: set[int]
+    ) -> tuple[dict[int, float], float]:
+        """``scores`` lists the candidates seen after the context, and
+        ``rest`` is the value every other candidate shares."""
+        if not candidates:
             raise ValueError("candidates must be nonempty")
-        if len(cands) == 1:
+        if len(candidates) == 1:
             # (n+1)/(n+1): a lone candidate gets log 1 whatever its count.
-            # Over 90% of decoding's calls are these forced steps.
-            return {cands[0]: 0.0}
+            # Over 90% of decoding's calls are these forced steps, and
+            # listing it keeps them off the decoder's path for unlisted ones.
+            return dict.fromkeys(candidates, 0.0), 0.0
         use = min(NGRAM_ORDER - 1, len(context))
         contexts, start, toks, seen = self.tables[use]
         key = 0
@@ -152,11 +164,10 @@ class NGramScorer:
         if i < len(contexts) and contexts[i] == key:
             lo, hi = start[i], start[i + 1]
         found = dict(zip(toks[lo:hi], seen[lo:hi]))
-        counts = list(map(found.get, cands, repeat(0)))
-        denom = sum(counts) + len(cands)
-        # Wide sets repeat few counts (most are 0): one log per distinct count.
-        logs = {n: math.log((n + 1) / denom) for n in set(counts)}
-        return dict(zip(cands, map(logs.__getitem__, counts)))
+        hits = found.keys() & candidates
+        denom = sum(map(found.__getitem__, hits)) + len(candidates)
+        scores = {tok: math.log((found[tok] + 1) / denom) for tok in hits}
+        return scores, math.log(1 / denom)
 
 
 class _Counts:
@@ -326,7 +337,9 @@ class RemoteScorer:
 
     def log_probs(
         self, context: Sequence[int], candidates: Iterable[int]
-    ) -> dict[int, float]:
+    ) -> tuple[dict[int, float], float]:
+        """Every candidate's log-prob, as the endpoint gave it; ``rest`` is
+        ``-inf`` and applies to none."""
         import requests
 
         cands = sorted(set(candidates))
@@ -356,7 +369,7 @@ class RemoteScorer:
                     f"endpoint returned {response.status_code}"
                 )
                 continue
-            return self._parse(response, cands)
+            return self._parse(response, cands), -math.inf
         raise ScorerTransportError(
             f"scoring endpoint failed after {self.retries + 1} attempts: "
             f"{last_error}"

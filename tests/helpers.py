@@ -103,6 +103,12 @@ def excerpt_queries(
     return queries
 
 
+def dense(answer, candidates) -> dict[int, float]:
+    """A scorer's ``(scores, rest)`` answer as one log-prob per candidate."""
+    scores, rest = answer
+    return {c: scores.get(c, rest) for c in candidates}
+
+
 class CountingScorer:
     """Delegates scoring while counting calls; the speedup-claim probe."""
 
@@ -134,7 +140,8 @@ def serve_scorer(inner):
         def do_POST(self):
             length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length))
-            log_probs = inner.log_probs(payload["context"], payload["candidates"])
+            cands = set(payload["candidates"])
+            log_probs = dense(inner.log_probs(payload["context"], cands), cands)
             body = json.dumps(
                 {"logprobs": {str(t): lp for t, lp in log_probs.items()}}
             ).encode("utf-8")

@@ -116,7 +116,8 @@ def score_sequence(scorer, prompt, sequence, allowed_fn) -> float:
 
     ``allowed_fn(prefix)`` must return the candidate set offered at that
     step, terminator included where legal, because within-set normalization
-    makes every candidate's value depend on the whole set.
+    makes every candidate's value depend on the whole set.  A token the
+    scorer does not list scores its ``rest``.
     """
     prompt = list(prompt)
     sequence = list(sequence)
@@ -124,7 +125,8 @@ def score_sequence(scorer, prompt, sequence, allowed_fn) -> float:
     for i, token in enumerate(sequence):
         allowed = allowed_fn(sequence[:i])
         assert token in allowed, f"token {token} not allowed at step {i}"
-        total += scorer.log_probs(prompt + sequence[:i], allowed)[token]
+        scores, rest = scorer.log_probs(prompt + sequence[:i], allowed)
+        total += scores.get(token, rest)
     return total / len(sequence)
 
 
@@ -210,8 +212,8 @@ def global_cut_beam_search(scorer, prompt, constraint, beam_size, max_len):
     hypothesis, as ``(tokens, mean log-prob)`` best-first.
 
     Each step builds a ``(-(cum + lp), tokens, parent)`` key for every
-    allowed content token and keeps the ``beam_size`` smallest; a parent
-    offered END_ID is parked as finished.
+    allowed content token, listed by the scorer or not, and keeps the
+    ``beam_size`` smallest; a parent offered END_ID is parked as finished.
     """
     prompt = list(prompt)
     if not constraint.allowed():
@@ -226,15 +228,14 @@ def global_cut_beam_search(scorer, prompt, constraint, beam_size, max_len):
             allowed = state.allowed()
             if not allowed:
                 continue
-            log_probs = scorer.log_probs(prompt + list(tokens), allowed)
+            scores, rest = scorer.log_probs(prompt + list(tokens), allowed)
             for token in sorted(allowed):
                 if token == END_ID:
                     if tokens:
                         finished.append((tokens, cum, state))
                     continue
-                candidates.append(
-                    (-(cum + log_probs[token]), tokens + (token,), state)
-                )
+                lp = scores.get(token, rest)
+                candidates.append((-(cum + lp), tokens + (token,), state))
         candidates.sort(key=lambda c: (c[0], c[1]))
         live = [
             (tokens, -neg, state.step(tokens[-1]))

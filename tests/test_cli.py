@@ -1385,6 +1385,43 @@ class TestUsage:
             assert config.stage2_template == stages[STAGE_TWO]
 
 
+def _build_and_recall(root, hash_seed: str) -> list[bytes]:
+    """Run ``build`` then ``recall`` in fresh interpreters with
+    ``PYTHONHASHSEED=hash_seed``; the bytes of every file they write."""
+    records = helpers.synthetic_records(num_docs=20, body_len=120, seed=3)
+    corpus_path, queries_path = root / "corpus.jsonl", root / "queries.txt"
+    corpus_path.write_text(
+        "".join(json.dumps(record) + "\n" for record in records), encoding="utf-8"
+    )
+    queries = helpers.excerpt_queries(ingest_corpus(records), count=10, seed=4)
+    queries_path.write_text("".join(f"{q}\n" for q, _ in queries), encoding="utf-8")
+    index_dir, out = root / "artifacts", root / "recall.jsonl"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+    for argv in (
+        ["build", "--corpus", corpus_path, "--out", index_dir],
+        ["recall", "--index-dir", index_dir, "--queries", queries_path,
+         "--output", out, *PLAIN_TEMPLATES, "--rescore-full-passage"],
+    ):
+        subprocess.run(
+            [sys.executable, "-m", "passrecall.cli", *map(str, argv)],
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+    paths = [index_dir / name for name in helpers.tree_files(index_dir)] + [out]
+    return [path.read_bytes() for path in paths]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # The benchmark pins one seed and criterion 11 runs in one process, so
+    # neither would see an output that follows set or dict order.
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = _build_and_recall(tmp_path / "a", "0")
+    assert first == _build_and_recall(tmp_path / "b", "4242")
+
+
 def _cli_imports(module: str) -> str:
     """``True`` or ``False`` and a newline: whether importing
     ``passrecall.cli`` in a fresh interpreter imports ``module``."""

@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 
 import pytest
@@ -319,20 +320,24 @@ class SubUlpScorer:
     -1 minus ``offsets[token % len(offsets)] * 2**-50``.  Next to a
     cumulative score near -100 those offsets are below one ulp, so children
     whose log-probs differ still tie on ``cum + lp``.  One offset gives
-    constant log-probs.
+    constant log-probs.  A sparse scorer lists only the candidates whose
+    offset is not 0; the rest share offset 4, the lowest value, which still
+    ties the listed ones next to -100.
     """
 
-    def __init__(self, prompt_len, first, offsets):
+    def __init__(self, prompt_len, first, offsets, sparse=False):
         self.prompt_len = prompt_len
         self.first = first
         self.offsets = offsets
+        self.sparse = sparse
 
     def log_probs(self, context, candidates):
         base = self.first if len(context) == self.prompt_len else -1.0
-        return {
-            c: base - self.offsets[c % len(self.offsets)] * 2.0**-50
-            for c in candidates
-        }
+        offset = {c: self.offsets[c % len(self.offsets)] for c in candidates}
+        if not self.sparse:
+            return {c: base - k * 2.0**-50 for c, k in offset.items()}, -math.inf
+        scores = {c: base - k * 2.0**-50 for c, k in offset.items() if k}
+        return scores, base - 4 * 2.0**-50
 
 
 small_token = st.integers(min_value=3, max_value=9)
@@ -346,7 +351,7 @@ class TestGlobalCutOracle:
         texts=st.lists(
             st.lists(small_token, min_size=1, max_size=8), min_size=1, max_size=4
         ),
-        scorer_kind=st.sampled_from(["constant", "sub-ulp", "ngram"]),
+        scorer_kind=st.sampled_from(["constant", "sub-ulp", "sparse", "ngram"]),
         first=st.sampled_from([-100.0, -99.75, -0.5]),
         offsets=st.lists(st.integers(0, 3), min_size=2, max_size=7),
         prompt=st.lists(small_token, max_size=3),
@@ -365,6 +370,18 @@ class TestGlobalCutOracle:
         beam_size=1,
         max_len=3,
     )
+    # Unlisted 4 and 6 tie listed 5 at -101 though their log-prob is lower:
+    # the tie goes to 4, the smallest unlisted id.
+    @example(
+        trie=True,
+        texts=[[3, 4], [3, 5], [3, 6]],
+        scorer_kind="sparse",
+        first=-100.0,
+        offsets=[0, 1],
+        prompt=[],
+        beam_size=1,
+        max_len=3,
+    )
     @settings(max_examples=400, deadline=None)
     def test_matches_the_global_cut(
         self, trie, texts, scorer_kind, first, offsets, prompt, beam_size, max_len
@@ -377,7 +394,10 @@ class TestGlobalCutOracle:
             scorer = trained_scorer(texts)
         else:
             scorer = SubUlpScorer(
-                len(prompt), first, [0] if scorer_kind == "constant" else offsets
+                len(prompt),
+                first,
+                [0] if scorer_kind == "constant" else offsets,
+                sparse=scorer_kind == "sparse",
             )
         got = constrained_beam_search(
             scorer, prompt, constraint, BeamConfig(beam_size, max_len)

@@ -318,6 +318,20 @@ class TestRecallPrefixes:
             )
 
 
+class ForcedBodyStepsImpossible:
+    """Scores every forced step onto a body token ``-inf``, as a remote
+    reply of ``-1e400`` parses; every other step as ``inner`` does."""
+
+    def __init__(self, inner, body_tokens):
+        self.inner = inner
+        self.body_tokens = body_tokens
+
+    def log_probs(self, context, candidates):
+        if len(candidates) == 1 and not self.body_tokens.isdisjoint(candidates):
+            return dict.fromkeys(candidates, -math.inf), -math.inf
+        return self.inner.log_probs(context, candidates)
+
+
 class TestRecallEndToEnd:
     def engine(self, **config_overrides):
         corpus, trie, indexes, scorer = small_fixture()
@@ -366,6 +380,26 @@ class TestRecallEndToEnd:
                     )
                 ]
                 assert got == expected
+
+    @pytest.mark.parametrize("alpha, field", [(1.0, "score1"), (0.0, "score2")])
+    def test_a_zero_weight_drops_an_infinite_score(self, alpha, field):
+        # 0.0 * -inf is NaN, which would also leave the ranking unordered.
+        corpus, trie, indexes, scorer = small_fixture()
+        body = {t for doc in corpus.documents for t in doc.body_tokens}
+        engine = RecallEngine(
+            corpus,
+            trie,
+            indexes,
+            ForcedBodyStepsImpossible(scorer, body),
+            helpers.plain_config(prefix_len=8, passage_len=40, alpha=alpha),
+        )
+        query = helpers.excerpt_queries(corpus, count=1, excerpt_len=15, seed=9)[0][0]
+        references = engine.recall(query)
+        assert any(r.score2 == -math.inf for r in references)
+        assert all(math.isfinite(r.score1) for r in references)
+        assert [r.combined for r in references] == [
+            getattr(r, field) for r in references
+        ]
 
     def test_rescore_full_passage_changes_score2_only(self):
         corpus, engine_plain = self.engine()

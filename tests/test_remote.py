@@ -7,6 +7,7 @@ and timeouts.
 """
 
 import json
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import helpers
 from passrecall.scorer import (
     NGramScorer,
     RemoteScorer,
@@ -41,7 +43,9 @@ class _Handler(BaseHTTPRequestHandler):
         if body.get("vocab_hash") != server.vocab_hash:
             self._reply(400, {"error": "vocabulary mismatch"})
             return
-        log_probs = server.scorer.log_probs(body["context"], body["candidates"])
+        cands = set(body["candidates"])
+        answer = server.scorer.log_probs(body["context"], cands)
+        log_probs = helpers.dense(answer, cands)
         payload = {str(token): value for token, value in log_probs.items()}
         if server.drop_one and payload:
             payload.pop(sorted(payload)[0])
@@ -103,14 +107,16 @@ def test_agrees_exactly_with_local_scorer(stub):
     client = make_client(stub)
     local = stub.server.scorer
     for context, cands in [([], {3, 4}), ([3], {4, 5, 6}), ([3, 4], {0, 5, 6})]:
-        assert client.log_probs(context, cands) == local.log_probs(context, cands)
+        expected = helpers.dense(local.log_probs(context, cands), cands)
+        assert client.log_probs(context, cands) == (expected, -math.inf)
 
 
 def test_retries_through_transient_failures(stub):
     stub.server.fail_remaining = 2
     client = make_client(stub, retries=2)
     got = client.log_probs([3], {4, 5})
-    assert got == stub.server.scorer.log_probs([3], {4, 5})
+    expected = helpers.dense(stub.server.scorer.log_probs([3], {4, 5}), {4, 5})
+    assert got == (expected, -math.inf)
     assert stub.server.request_count == 3
 
 
@@ -219,8 +225,9 @@ def test_empty_candidates_rejected_before_any_request(stub):
 def test_concurrent_calls_are_safe(stub):
     client = make_client(stub)
     local = stub.server.scorer
-    expected = local.log_probs([3], {4, 5, 6})
+    cands = {4, 5, 6}
+    expected = (helpers.dense(local.log_probs([3], cands), cands), -math.inf)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: client.log_probs([3], {4, 5, 6}), range(32)))
+        results = list(pool.map(lambda _: client.log_probs([3], cands), range(32)))
     assert all(r == expected for r in results)

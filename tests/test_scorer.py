@@ -118,7 +118,7 @@ class TestNGramScorer:
         counts.extra[5 << 64 | 6 << 32 | 7] += 2**33 - 1  # as corpus_scorer does
         scorer = NGramScorer(counts.tables())
         assert scorer.tables[2][3].typecode == "Q"
-        assert scorer.log_probs([5, 6], {7, 8}) == {
+        assert helpers.dense(scorer.log_probs([5, 6], {7, 8}), {7, 8}) == {
             7: math.log((2**33 + 1) / (2**33 + 2)),
             8: math.log(1 / (2**33 + 2)),
         }
@@ -131,18 +131,18 @@ class TestNGramScorer:
             NGramScorer.add_stream(counts, [5, 7, last])
             counts.extra[5 << 64 | 7 << 32 | last] += 2**31
         scorer = NGramScorer(counts.tables())
-        assert scorer.log_probs([5, 7], {8, 9}) == {
+        assert helpers.dense(scorer.log_probs([5, 7], {8, 9}), {8, 9}) == {
             8: math.log(1 / 2),
             9: math.log(1 / 2),
         }
         assert [table[3].typecode for table in scorer.tables] == ["Q", "Q", "I"]
         # (5, 7): 2 * (2**31 + 1).
-        assert scorer.log_probs([5], {7, 8}) == {
+        assert helpers.dense(scorer.log_probs([5], {7, 8}), {7, 8}) == {
             7: math.log((2**32 + 3) / (2**32 + 4)),
             8: math.log(1 / (2**32 + 4)),
         }
         # 5: 2 * (2**31 + 1); 7 starts the bigrams (7, 8) and (7, 9).
-        assert scorer.log_probs([], {5, 7}) == {
+        assert helpers.dense(scorer.log_probs([], {5, 7}), {5, 7}) == {
             5: math.log((2**32 + 3) / (2**32 + 6)),
             7: math.log(3 / (2**32 + 6)),
         }
@@ -184,7 +184,13 @@ class TestNGramScorer:
         # Every trained context, then one that may be unseen or out of range.
         contexts = [stream[:i] for stream in streams for i in range(len(stream) + 1)]
         for ctx in contexts + [context]:
-            assert scorer.log_probs(ctx, cands) == oracle.log_probs(ctx, cands)
+            answer = scorer.log_probs(ctx, cands)
+            assert helpers.dense(answer, cands) == oracle.log_probs(ctx, cands)
+            # A wide set lists just the candidates seen after the context.
+            use = min(2, len(ctx))
+            seen = oracle.counts[use].get(tuple(ctx[len(ctx) - use :]), {})
+            if len(cands) > 1:
+                assert set(answer[0]) == cands & seen.keys()
         assert packed_counts(scorer) == oracle.counts
 
     def test_empty_candidates_rejected(self):
@@ -193,11 +199,11 @@ class TestNGramScorer:
 
     def test_single_candidate_scores_zero(self):
         scorer = NGramScorer.from_streams([])
-        assert scorer.log_probs([3, 4], {9}) == {9: 0.0}
+        assert scorer.log_probs([3, 4], {9}) == ({9: 0.0}, 0.0)
 
     def test_untrained_is_uniform(self):
         scorer = NGramScorer.from_streams([])
-        got = scorer.log_probs([], {3, 4, 5, 6})
+        got = helpers.dense(scorer.log_probs([], {3, 4, 5, 6}), {3, 4, 5, 6})
         for value in got.values():
             assert value == math.log(1 / 4)
 
@@ -206,7 +212,7 @@ class TestNGramScorer:
         codec = WordCodec.build(["a b"])
         a, b = codec.encode("a"), codec.encode("b")
         scorer = NGramScorer.from_streams([codec.encode("a b a b")])
-        got = scorer.log_probs(a, {a[0], b[0]})
+        got = helpers.dense(scorer.log_probs(a, {a[0], b[0]}), {a[0], b[0]})
         assert got[b[0]] > got[a[0]]
         assert got[b[0]] == math.log(3 / 4)
         assert got[a[0]] == math.log(1 / 4)
@@ -220,7 +226,7 @@ class TestNGramScorer:
     def test_short_context_uses_short_tables(self):
         scorer = NGramScorer.from_streams([[3, 4, 5]])
         # Unigram table: both 3 and 4 were seen once; 9 never.
-        got = scorer.log_probs([], {3, 4, 9})
+        got = helpers.dense(scorer.log_probs([], {3, 4, 9}), {3, 4, 9})
         assert got[3] == got[4] > got[9]
 
     @given(
@@ -231,7 +237,7 @@ class TestNGramScorer:
     @settings(max_examples=200, deadline=None)
     def test_within_set_normalization_sums_to_one(self, stream, context, cands):
         scorer = NGramScorer.from_streams([stream])
-        got = scorer.log_probs(context, cands)
+        got = helpers.dense(scorer.log_probs(context, cands), cands)
         assert abs(sum(math.exp(v) for v in got.values()) - 1.0) <= 1e-9
 
     def test_repeated_calls_are_bit_identical(self):
@@ -254,7 +260,8 @@ class TestCorpusScorer:
         title_a = corpus.document("a").title_tokens
         title_b = corpus.document("b").title_tokens
         context = codec.encode("fox cat")
-        got = scorer.log_probs(context, {title_a[0], title_b[0]})
+        cands = {title_a[0], title_b[0]}
+        got = helpers.dense(scorer.log_probs(context, cands), cands)
         assert got[title_a[0]] > got[title_b[0]]
 
     def test_title_continuation_and_termination(self):
@@ -266,7 +273,8 @@ class TestCorpusScorer:
         )
         scorer = corpus_scorer(corpus)
         title_a = list(corpus.document("a").title_tokens)
-        after_title = scorer.log_probs(title_a, {0, title_a[0]})
+        cands = {0, title_a[0]}
+        after_title = helpers.dense(scorer.log_probs(title_a, cands), cands)
         assert after_title[0] > after_title[title_a[0]]
 
     def test_counts_equal_streaming_every_stream(self):
@@ -313,4 +321,5 @@ class TestCorpusScorer:
         cands = set(range(corpus.codec.vocab_size))
         for doc in corpus.documents:
             for ctx in ([], doc.body_tokens[-1:], doc.title_tokens[-2:]):
-                assert scorer.log_probs(ctx, cands) == oracle.log_probs(ctx, cands)
+                got = helpers.dense(scorer.log_probs(ctx, cands), cands)
+                assert got == oracle.log_probs(ctx, cands)
