@@ -300,7 +300,17 @@ def cmd_recall(args: argparse.Namespace) -> int:
     logger.info("recalled %d queries in %.2fs", len(queries), elapsed)
 
     lines = [_metadata_line(artifacts, config, scorer_info)]
-    lines += [json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records]
+    # Every line is made before any is written, so a bad record leaves no file.
+    for record in records:
+        try:
+            lines.append(
+                json.dumps(record, ensure_ascii=False, sort_keys=True, allow_nan=False)
+            )
+        except ValueError as exc:
+            raise DataError(
+                f"query {record['query']!r}: a score is not finite, "
+                "so the record is not JSON"
+            ) from exc
     payload = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:

@@ -102,10 +102,6 @@ class TokenCodec:
 
     # -- text ---------------------------------------------------------------
 
-    @staticmethod
-    def normalize_text(text: str) -> str:
-        raise NotImplementedError
-
     def encode(self, text: str) -> list[int]:
         raise NotImplementedError
 
@@ -119,7 +115,7 @@ class WordCodec(TokenCodec):
     Normalization is Unicode NFC, whitespace runs collapsed to single
     spaces, punctuation runs separated into standalone tokens, case
     preserved.  Under that normalization ``decode(encode(s))`` equals
-    ``normalize_text(s)`` for every string, unknowns aside.
+    ``" ".join(split_text(s))`` for every string, unknowns aside.
     """
 
     kind = "word"
@@ -129,10 +125,6 @@ class WordCodec(TokenCodec):
     def build(cls, texts: Iterable[str]) -> "WordCodec":
         """Codec over every surface of ``texts``, ids in sorted surface order."""
         return cls(sorted({s for text in texts for s in split_text(text)}))
-
-    @staticmethod
-    def normalize_text(text: str) -> str:
-        return " ".join(split_text(text))
 
     def encode(self, text: str) -> list[int]:
         return [self._ids.get(t, UNK_ID) for t in split_text(text)]
@@ -273,7 +265,7 @@ def ingest_corpus(
     for position, record in enumerate(records):
         doc_id, title, fragments = _validate_record(position, record)
         body = " ".join(fragments)
-        # Equals ``normalize_text(body) == ""`` for both codecs.
+        # Blank exactly when either codec normalizes the body to "".
         if not body.strip():
             logger.warning("record %r: empty body, skipped", doc_id)
             continue

@@ -32,7 +32,7 @@ from typing import Protocol, Sequence
 from .corpus import END_ID
 from .fmindex import EMPTY_RANGE, BWTIndex, SearchRange
 from .scorer import TokenScorer
-from .trie import TitleTrie, TrieNode
+from .trie import TrieNode
 
 logger = logging.getLogger(__name__)
 
@@ -52,14 +52,21 @@ class Constraint(Protocol):
 
 
 class TrieConstraint:
-    """Restricts generation to exact root-to-terminal paths of a title trie."""
+    """Restricts generation to exact root-to-terminal paths of a title trie.
 
-    def __init__(self, trie: TitleTrie, node: TrieNode | None = None):
-        self.trie = trie
-        self.node = trie.root if node is None else node
+    Made at the trie's root, as ``TrieConstraint(trie.root)``; each step
+    moves to a child node.
+    """
+
+    def __init__(self, node: TrieNode):
+        self.node = node
 
     def allowed(self) -> set[int]:
-        return TitleTrie.allowed_at(self.node)
+        """The node's child tokens, plus END_ID when the node is terminal."""
+        allowed = set(self.node.children)
+        if self.node.doc_id is not None:
+            allowed.add(END_ID)
+        return allowed
 
     def step(self, token: int) -> "TrieConstraint":
         if token == END_ID:
@@ -67,7 +74,7 @@ class TrieConstraint:
         child = self.node.children.get(token)
         if child is None:
             raise ValueError(f"token {token} not allowed here")
-        return TrieConstraint(self.trie, child)
+        return TrieConstraint(child)
 
     def is_terminal(self) -> bool:
         return self.node.doc_id is not None
@@ -84,7 +91,9 @@ class SubstringConstraint:
     END_ID only becomes legal when every live occurrence has reached its
     document's end; until then the prefix keeps growing and stops only at
     the search's length cap.  Any nonempty prefix is terminal, which is what
-    lets length-capped prefixes finish cleanly.
+    lets length-capped prefixes finish cleanly.  A document is live while
+    its range is nonempty; ``pipeline.localize`` reads the prefix's start
+    off the first live one.
     """
 
     def __init__(
@@ -123,13 +132,6 @@ class SubstringConstraint:
             rng != index.full_range()
             for (_, index), rng in zip(self.entries, self.ranges)
         )
-
-    def live_doc_ids(self) -> list[str]:
-        return [
-            doc_id
-            for (doc_id, _), rng in zip(self.entries, self.ranges)
-            if not rng.empty
-        ]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ the body's own left-to-right coordinates.  Backward extension is a pair of
 rank queries answered by binary search inside one symbol's group of BWT
 rows; the tokens that can follow a prefix are the distinct symbols in its
 BWT rows, read from the symbol table for the full range and by one scan of
-the rows for any narrower one.  Every table is a flat ``array('I')``.  An
+the rows for any narrower one.  The index answers only what recall asks:
+a pattern's range is reached one backward extension per token, as the
+stage-2 constraint steps, and ``starts`` reads the pattern's positions off
+that range.  Every table is a flat ``array('I')``.  An
 index section stores only the document id and the suffix array, so
 ``passrecall build`` computes only the suffix array; ``load_index`` checks
 the stored id against the document's and builds the BWT and rank tables
@@ -82,10 +85,6 @@ class SearchRange(NamedTuple):
     hi: int
 
     @property
-    def width(self) -> int:
-        return self.hi - self.lo
-
-    @property
     def empty(self) -> bool:
         return self.lo >= self.hi
 
@@ -155,20 +154,6 @@ class BWTIndex:
         successors.discard(SENTINEL_ID)
         return successors
 
-    def match_range(self, pattern: Sequence[int]) -> SearchRange:
-        """Suffix-array range matching ``pattern`` (original orientation)."""
-        rng = self.full_range()
-        # Backward search consumes the reversed pattern right to left, which
-        # is the original pattern left to right.
-        for symbol in pattern:
-            rng = self.backward_extend(rng, symbol)
-            if rng.empty:
-                return EMPTY_RANGE
-        return rng
-
-    def count(self, pattern: Sequence[int]) -> int:
-        return self.match_range(pattern).width
-
     def starts(self, rng: SearchRange, length: int) -> list[int]:
         """Sorted start offsets of the ``length``-token pattern matched by ``rng``.
 
@@ -178,12 +163,6 @@ class BWTIndex:
         """
         shift = len(self.sa) - 1 - length
         return sorted(shift - self.sa[row] for row in range(rng.lo, rng.hi))
-
-    def locate_all(self, pattern: Sequence[int]) -> list[int]:
-        """Sorted start offsets of ``pattern`` in the original text."""
-        if not pattern:
-            raise ValueError("pattern must be nonempty")
-        return self.starts(self.match_range(pattern), len(pattern))
 
 
 def save_index(doc_id: str, sa: Sequence[int], handle: BinaryIO) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Document
@@ -90,17 +90,11 @@ class RecallConfig:
             raise ValueError("prefix_len must not exceed passage_len")
 
     def described(self) -> dict:
-        """Config values for run metadata."""
+        """Config values for run metadata: every field, a template as its text."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
         return {
-            "alpha": self.alpha,
-            "k": self.k,
-            "beam1": self.beam1,
-            "beam2": self.beam2,
-            "prefix_len": self.prefix_len,
-            "passage_len": self.passage_len,
-            "stage1_template": self.stage1_template.template,
-            "stage2_template": self.stage2_template.template,
-            "rescore_full_passage": self.rescore_full_passage,
+            name: value.template if isinstance(value, PromptTemplate) else value
+            for name, value in values.items()
         }
 
 
@@ -115,9 +109,6 @@ class Reference:
     doc_id: str
     title: str
     start: int
-    # Both are slices of the document's body array.
-    prefix: array
-    passage: array
     passage_text: str
     score1: float
     score2: float
@@ -136,7 +127,7 @@ def recall_titles(
     results = constrained_beam_search(
         scorer,
         prompt,
-        TrieConstraint(trie),
+        TrieConstraint(trie.root),
         BeamConfig(beam_size=config.beam1, max_len=trie.max_depth),
     )
     if not results:
@@ -282,8 +273,7 @@ class RecallEngine:
             doc_id, start = localize(prefix)
             doc = corpus.document(doc_id)
             passage = extract_reference(doc, start, config.passage_len)
-            head = passage[: len(prefix.tokens)]
-            if tuple(head) != prefix.tokens:
+            if tuple(passage[: len(prefix.tokens)]) != prefix.tokens:
                 raise InternalInconsistencyError(
                     "extracted passage does not begin with its prefix"
                 )
@@ -298,8 +288,6 @@ class RecallEngine:
                     doc_id=doc_id,
                     title=corpus.codec.decode(doc.title_tokens),
                     start=start,
-                    prefix=head,
-                    passage=passage,
                     passage_text=corpus.codec.decode(passage),
                     score1=score1,
                     score2=score2,

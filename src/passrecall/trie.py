@@ -2,8 +2,9 @@
 
 Stage one of the recall pipeline decodes under this trie so every finished
 sequence is the exact token sequence of an existing title.  A terminal node
-carries the document id its root-to-node path spells; the end-of-sequence
-id (0) shows up in the allowed set exactly at terminal nodes.
+carries the document id its root-to-node path spells.  The trie itself
+answers no queries: ``decode.TrieConstraint`` walks its nodes one token at
+a time and offers the end-of-sequence id (0) exactly at terminal nodes.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import io
 from typing import BinaryIO, Sequence
 
-from .corpus import END_ID, Corpus
+from .corpus import Corpus
 from .storage import KIND_TRIE, Writer
 
 
@@ -46,39 +47,6 @@ class TitleTrie:
             )
         node.doc_id = doc_id
         self.max_depth = max(self.max_depth, len(tokens))
-
-    def node(self, prefix: Sequence[int]) -> TrieNode | None:
-        """Node reached by ``prefix``, or None when the prefix leaves the trie."""
-        node = self.root
-        for token in prefix:
-            node = node.children.get(token)
-            if node is None:
-                return None
-        return node
-
-    def allowed_next(self, prefix: Sequence[int]) -> set[int]:
-        """Tokens that can legally follow ``prefix``.
-
-        Child edge labels of the reached node, plus id 0 when the node is
-        terminal.  An off-trie prefix is a legal query and yields the empty
-        set.
-        """
-        node = self.node(prefix)
-        if node is None:
-            return set()
-        return self.allowed_at(node)
-
-    @staticmethod
-    def allowed_at(node: TrieNode) -> set[int]:
-        allowed = set(node.children)
-        if node.doc_id is not None:
-            allowed.add(END_ID)
-        return allowed
-
-    def resolve_title(self, tokens: Sequence[int]) -> str | None:
-        """Document id iff ``tokens`` spells a complete title."""
-        node = self.node(tokens)
-        return node.doc_id if node is not None else None
 
 
 def build_trie(corpus: Corpus) -> TitleTrie:

@@ -15,7 +15,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from passrecall.corpus import Corpus, ingest_corpus
-from passrecall.fmindex import BWTIndex
+from passrecall.decode import SubstringConstraint
+from passrecall.fmindex import EMPTY_RANGE, BWTIndex, SearchRange
 from passrecall.pipeline import RecallConfig
 from passrecall.scorer import PromptTemplate
 from passrecall.trie import TitleTrie, build_trie
@@ -77,6 +78,38 @@ def build_indexes(corpus: Corpus) -> dict[str, BWTIndex]:
         doc.doc_id: BWTIndex.build(doc.body_tokens)
         for doc in corpus.documents
     }
+
+
+def walk(constraint, tokens):
+    """``constraint`` stepped through ``tokens``, or None once a step is
+    refused: both constraints raise ValueError for a token they do not allow.
+    """
+    for token in tokens:
+        try:
+            constraint = constraint.step(token)
+        except ValueError:
+            return None
+    return constraint
+
+
+def walk_range(index: BWTIndex, pattern) -> SearchRange:
+    """The range a one-document substring walk through ``pattern`` ends on.
+
+    Its width counts the pattern's occurrences, ``index.starts(rng,
+    len(pattern))`` locates them and ``index.range_successors(rng)`` lists
+    what can follow; a pattern the document lacks gives the empty range.
+    """
+    state = walk(SubstringConstraint([("doc", index)]), pattern)
+    return EMPTY_RANGE if state is None else state.ranges[0]
+
+
+def live_doc_ids(constraint: SubstringConstraint) -> list[str]:
+    """Documents, in constraint order, whose range is still nonempty."""
+    return [
+        doc_id
+        for (doc_id, _), rng in zip(constraint.entries, constraint.ranges)
+        if not rng.empty
+    ]
 
 
 def build_artifacts(corpus: Corpus) -> tuple[TitleTrie, dict[str, BWTIndex]]:

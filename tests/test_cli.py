@@ -501,6 +501,33 @@ def test_deeply_nested_json_is_a_data_error(
     assert not (tmp_path / "never.jsonl").exists()
 
 
+# -1e400 parses as -inf; -1e308 is finite, but two steps overflow the sum.
+@pytest.mark.parametrize("logprob", ["-1e400", "-1e308"])
+def test_non_finite_score_is_a_data_error(
+    workspace, tmp_path, monkeypatch, caplog, capsys, logprob
+):
+    # A canned reply in place of the HTTP exchange: no server, no thread.
+    import requests
+
+    def post(self, url, **kwargs):
+        answers = ", ".join(f'"{c}": {logprob}' for c in kwargs["json"]["candidates"])
+        response = requests.Response()
+        response.status_code = 200
+        response.encoding = "utf-8"
+        response._content = ('{"logprobs": {' + answers + "}}").encode("utf-8")
+        return response
+
+    monkeypatch.setattr(requests.Session, "post", post)
+    argv = _recall_argv(workspace["index_dir"], workspace, tmp_path,
+                        "--scorer", "remote", "--endpoint", "http://127.0.0.1:9/score")
+    with caplog.at_level(logging.ERROR, logger="passrecall.cli"):
+        assert run_cli(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    first_query = workspace["queries"][0][0]
+    assert any(repr(first_query) in message for message in caplog.messages)
+    assert not (tmp_path / "never.jsonl").exists()
+
+
 class TestRecall:
     def test_output_schema(self, workspace, tmp_path):
         path = recall_to(workspace, tmp_path / "out.jsonl")

@@ -68,7 +68,7 @@ def oracle_substring_allowed(bodies, prefix):
 class TestConstraints:
     def test_trie_constraint_walks_paths(self):
         trie = trie_from([(3, 4), (3, 5)])
-        state = TrieConstraint(trie)
+        state = TrieConstraint(trie.root)
         assert state.allowed() == {3}
         assert not state.is_terminal()
         state = state.step(3)
@@ -79,7 +79,7 @@ class TestConstraints:
 
     def test_trie_constraint_rejects_bad_steps(self):
         trie = trie_from([(3, 4)])
-        state = TrieConstraint(trie)
+        state = TrieConstraint(trie.root)
         with pytest.raises(ValueError, match="not allowed"):
             state.step(9)
         with pytest.raises(ValueError, match="END_ID"):
@@ -124,7 +124,7 @@ class TestTitleSearch:
         trie = trie_from(titles)
         scorer = trained_scorer([], seed=1, rng_streams=5)
         results = constrained_beam_search(
-            scorer, [], TrieConstraint(trie), BeamConfig(beam_size=4, max_len=8)
+            scorer, [], TrieConstraint(trie.root), BeamConfig(beam_size=4, max_len=8)
         )
         assert [r.tokens for r in results] == [(3, 4, 5)]
         expected = oracle_title_score(scorer, [], (3, 4, 5), titles)
@@ -142,7 +142,7 @@ class TestTitleSearch:
         trie = trie_from([(3, 4), (5, 6)])
         with caplog.at_level(logging.WARNING, logger="passrecall.decode"):
             results = constrained_beam_search(
-                UNTRAINED, [], TrieConstraint(trie), BeamConfig(2, max_len=1)
+                UNTRAINED, [], TrieConstraint(trie.root), BeamConfig(2, max_len=1)
             )
         assert results == []
         assert any("dead-end" in m for m in caplog.messages)
@@ -150,7 +150,7 @@ class TestTitleSearch:
     def test_lexicographic_tie_break(self):
         trie = trie_from([(4,), (3,), (5,)])
         results = constrained_beam_search(
-            UNTRAINED, [], TrieConstraint(trie), BeamConfig(3, max_len=2)
+            UNTRAINED, [], TrieConstraint(trie.root), BeamConfig(3, max_len=2)
         )
         assert [r.tokens for r in results] == [(3,), (4,), (5,)]
 
@@ -158,7 +158,7 @@ class TestTitleSearch:
         titles = [(3 + i,) for i in range(6)]
         trie = trie_from(titles)
         results = constrained_beam_search(
-            UNTRAINED, [], TrieConstraint(trie), BeamConfig(4, max_len=2)
+            UNTRAINED, [], TrieConstraint(trie.root), BeamConfig(4, max_len=2)
         )
         assert len(results) == 4
 
@@ -177,6 +177,7 @@ class TestTitleSearch:
                 if not any(t != u and u[: len(t)] == t for u in titles)
             ]
             trie = trie_from(titles)
+            doc_ids = {tuple(t): f"doc-{i}" for i, t in enumerate(titles)}
             scorer = trained_scorer(
                 [list(t) + [END_ID] for t in titles], seed=case, rng_streams=3
             )
@@ -184,16 +185,14 @@ class TestTitleSearch:
             results = constrained_beam_search(
                 scorer,
                 prompt,
-                TrieConstraint(trie),
+                TrieConstraint(trie.root),
                 BeamConfig(beam_size=rng.randrange(1, 6), max_len=6),
             )
             assert results, titles
             for result in results:
                 assert result.tokens in [tuple(t) for t in titles]
                 # Stage 1 takes its doc id from the final node, not a re-walk.
-                assert result.constraint.node.doc_id == trie.resolve_title(
-                    result.tokens
-                )
+                assert result.constraint.node.doc_id == doc_ids[result.tokens]
                 expected = oracle_title_score(
                     scorer, prompt, result.tokens, titles
                 )
@@ -218,7 +217,7 @@ class TestTitleSearch:
                 [list(t) + [END_ID] for t in titles], seed=100 + case, rng_streams=4
             )
             results = constrained_beam_search(
-                scorer, [], TrieConstraint(trie), BeamConfig(64, max_len=4)
+                scorer, [], TrieConstraint(trie.root), BeamConfig(64, max_len=4)
             )
             expected = sorted(
                 (
@@ -387,7 +386,8 @@ class TestGlobalCutOracle:
         self, trie, texts, scorer_kind, first, offsets, prompt, beam_size, max_len
     ):
         if trie:
-            constraint = TrieConstraint(trie_from(sorted(set(map(tuple, texts)))))
+            titles = sorted(set(map(tuple, texts)))
+            constraint = TrieConstraint(trie_from(titles).root)
         else:
             constraint = substring_constraint(texts)
         if scorer_kind == "ngram":

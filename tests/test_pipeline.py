@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
+from passrecall import pipeline
 from passrecall.corpus import ingest_corpus
 from passrecall.decode import BeamResult, SubstringConstraint
 from passrecall.pipeline import (
@@ -78,7 +79,7 @@ class TestLocalize:
         indexes = helpers.build_indexes(corpus)
         for text, start in (("bird", 3), ("dog bird", 2)):
             prefix = self.prefix(corpus.codec.encode(text), indexes, ["d1", "d2"])
-            assert prefix.constraint.live_doc_ids() == ["d2"]
+            assert helpers.live_doc_ids(prefix.constraint) == ["d2"]
             assert localize(prefix) == ("d2", start)
 
     def test_randomized_against_naive_scan(self):
@@ -290,7 +291,7 @@ class TestRecallPrefixes:
         )
         assert results
         assert results[0].tokens == tuple(planted_tokens)
-        assert results[0].constraint.live_doc_ids() == ["d1"]
+        assert helpers.live_doc_ids(results[0].constraint) == ["d1"]
         # Exhaustive check: no length-8 substring of either body scores higher.
         bodies = [list(d.body_tokens) for d in corpus.documents]
         prompt = corpus.codec.encode("the quick silver owl")
@@ -356,9 +357,8 @@ class TestRecallEndToEnd:
             seen = set()
             for ref in references:
                 body = corpus.document(ref.doc_id).body_tokens
-                assert ref.passage == body[ref.start : ref.start + 40]
-                assert ref.passage[: len(ref.prefix)] == ref.prefix
-                assert ref.passage_text == corpus.codec.decode(ref.passage)
+                passage = body[ref.start : ref.start + 40]
+                assert ref.passage_text == corpus.codec.decode(passage)
                 recombined = combine_scores(ref.score1, ref.score2, 0.9)
                 assert abs(ref.combined - recombined) <= 1e-12
                 assert (ref.doc_id, ref.start) not in seen
@@ -400,6 +400,19 @@ class TestRecallEndToEnd:
         assert [r.combined for r in references] == [
             getattr(r, field) for r in references
         ]
+
+    def test_passage_off_its_prefix_is_an_inconsistency(self, monkeypatch):
+        # A start one past the decoded prefix's: the index and text disagree.
+        corpus, engine = self.engine()
+        query = helpers.excerpt_queries(corpus, count=1, excerpt_len=15, seed=9)[0][0]
+
+        def shifted(prefix):
+            doc_id, start = localize(prefix)
+            return doc_id, start + 1
+
+        monkeypatch.setattr(pipeline, "localize", shifted)
+        with pytest.raises(InternalInconsistencyError, match="begin with its prefix"):
+            engine.recall(query)
 
     def test_rescore_full_passage_changes_score2_only(self):
         corpus, engine_plain = self.engine()

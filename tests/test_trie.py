@@ -9,6 +9,7 @@ import helpers
 import oracles
 from passrecall import cli
 from passrecall.corpus import END_ID, ingest_corpus
+from passrecall.decode import TrieConstraint
 from passrecall.trie import TitleTrie, build_trie, save_trie
 
 
@@ -17,6 +18,18 @@ def trie_from(titles):
     for i, title in enumerate(titles):
         trie.insert(title, f"doc-{i}")
     return trie
+
+
+def allowed_after(trie, prefix):
+    """What stage 1 may emit after ``prefix``; nothing once it leaves the trie."""
+    state = helpers.walk(TrieConstraint(trie.root), prefix)
+    return set() if state is None else state.allowed()
+
+
+def doc_id_after(trie, tokens):
+    """The document whose title ``tokens`` spell, as stage 1 reads it."""
+    state = helpers.walk(TrieConstraint(trie.root), tokens)
+    return None if state is None else state.node.doc_id
 
 
 class TestInsert:
@@ -43,22 +56,24 @@ class TestInsert:
 
 
 class TestAllowedNext:
+    """What the trie constraint allows after walking a prefix."""
+
     def test_root_offers_first_tokens(self):
         trie = trie_from([(3, 4), (5,)])
-        assert trie.allowed_next(()) == {3, 5}
+        assert allowed_after(trie, ()) == {3, 5}
 
     def test_terminal_offers_end(self):
         trie = trie_from([(3,), (3, 4)])
-        assert trie.allowed_next((3,)) == {END_ID, 4}
+        assert allowed_after(trie, (3,)) == {END_ID, 4}
 
     def test_pure_terminal_offers_only_end(self):
         trie = trie_from([(3, 4)])
-        assert trie.allowed_next((3, 4)) == {END_ID}
+        assert allowed_after(trie, (3, 4)) == {END_ID}
 
     def test_off_trie_prefix_offers_nothing(self):
         trie = trie_from([(3, 4)])
-        assert trie.allowed_next((9,)) == set()
-        assert trie.allowed_next((3, 9)) == set()
+        assert allowed_after(trie, (9,)) == set()
+        assert allowed_after(trie, (3, 9)) == set()
 
     def test_matches_brute_force_on_random_title_sets(self):
         rng = random.Random(4242)
@@ -80,19 +95,21 @@ class TestAllowedNext:
             prefixes |= {(9, 9), (3,)}
             for prefix in prefixes:
                 expected = oracles.naive_title_allowed(titles, prefix)
-                assert trie.allowed_next(prefix) == expected, (titles, prefix)
+                assert allowed_after(trie, prefix) == expected, (titles, prefix)
 
 
 class TestResolve:
+    """The document a walk through a title's tokens ends on."""
+
     def test_resolves_exact_title(self):
         trie = trie_from([(3, 4), (5,)])
-        assert trie.resolve_title((3, 4)) == "doc-0"
-        assert trie.resolve_title((5,)) == "doc-1"
+        assert doc_id_after(trie, (3, 4)) == "doc-0"
+        assert doc_id_after(trie, (5,)) == "doc-1"
 
     def test_non_terminal_resolves_to_none(self):
         trie = trie_from([(3, 4)])
-        assert trie.resolve_title((3,)) is None
-        assert trie.resolve_title((3, 9)) is None
+        assert doc_id_after(trie, (3,)) is None
+        assert doc_id_after(trie, (3, 9)) is None
 
 
 class TestBuildFromCorpus:
@@ -105,7 +122,7 @@ class TestBuildFromCorpus:
         )
         trie = build_trie(corpus)
         first = corpus.document("d1").title_tokens
-        assert trie.resolve_title(first) == "d1"
+        assert doc_id_after(trie, first) == "d1"
 
 
 class TestPersistence:
@@ -141,5 +158,5 @@ class TestPersistence:
         long_doc, short_doc = artifacts.corpus.documents
         assert short_doc.title_tokens == long_doc.title_tokens[:3]
         assert artifacts.trie.max_depth == 5000
-        assert artifacts.trie.resolve_title(long_doc.title_tokens) == "long"
-        assert artifacts.trie.resolve_title(short_doc.title_tokens) == "short"
+        assert doc_id_after(artifacts.trie, long_doc.title_tokens) == "long"
+        assert doc_id_after(artifacts.trie, short_doc.title_tokens) == "short"
