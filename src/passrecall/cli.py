@@ -171,7 +171,8 @@ def load_artifacts(index_dir: str) -> Artifacts:
 
 
 def _read_queries(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte order mark, which strip() keeps.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return [line.strip() for line in fh if line.strip()]
 
 

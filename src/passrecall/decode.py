@@ -30,7 +30,7 @@ from itertools import repeat
 from typing import Protocol, Sequence
 
 from .corpus import END_ID
-from .fmindex import EMPTY_RANGE, BWTIndex, SearchRange
+from .fmindex import BWTIndex
 from .scorer import TokenScorer
 from .trie import TrieNode
 
@@ -83,55 +83,53 @@ class TrieConstraint:
 class SubstringConstraint:
     """Restricts generation to verbatim substrings of an ordered document set.
 
-    One suffix-array range per document tracks where the generated prefix
-    still occurs; a document whose range empties is dead and never revives.
-    The constraint is a cheap per-hypothesis value, so ``step`` returns a new
-    instance instead of mutating.
+    ``live`` holds one ``(doc_id, index, range)`` per document the generated
+    prefix still occurs in, in the order the documents were given; the range
+    is the prefix's suffix-array range there.  A step keeps only the
+    documents whose range stays nonempty, so a dead document is dropped and
+    never revives.  The constraint is a cheap per-hypothesis value, so
+    ``step`` returns a new instance instead of mutating.
 
     END_ID only becomes legal when every live occurrence has reached its
     document's end; until then the prefix keeps growing and stops only at
     the search's length cap.  Any nonempty prefix is terminal, which is what
-    lets length-capped prefixes finish cleanly.  A document is live while
-    its range is nonempty; ``pipeline.localize`` reads the prefix's start
-    off the first live one.
+    lets length-capped prefixes finish cleanly, so every step sets the
+    terminal flag and only the root lacks it.  ``pipeline.localize`` reads
+    the prefix's start off the first live document.
     """
 
-    def __init__(
-        self,
-        entries: Sequence[tuple[str, BWTIndex]],
-        ranges: Sequence[SearchRange] | None = None,
-    ):
-        self.entries = tuple(entries)
-        if ranges is None:
-            ranges = [index.full_range() for _, index in self.entries]
-        self.ranges = tuple(ranges)
+    def __init__(self, entries: Sequence[tuple[str, BWTIndex]]):
+        self.live = tuple(
+            (doc_id, index, index.full_range()) for doc_id, index in entries
+        )
+        self._terminal = False
 
     def allowed(self) -> set[int]:
         successors: set[int] = set()
-        for (_, index), rng in zip(self.entries, self.ranges):
+        for _, index, rng in self.live:
             successors |= index.range_successors(rng)
-        if successors or not self.is_terminal():
+        if successors or not self._terminal:
             return successors
         return {END_ID}
 
     def step(self, token: int) -> "SubstringConstraint":
         if token == END_ID:
             raise ValueError("the search finishes on END_ID instead of stepping")
-        ranges = [
-            index.backward_extend(rng, token) if not rng.empty else EMPTY_RANGE
-            for (_, index), rng in zip(self.entries, self.ranges)
-        ]
-        if all(rng.empty for rng in ranges):
+        live = []
+        for doc_id, index, rng in self.live:
+            rng = index.backward_extend(rng, token)
+            if not rng.empty:
+                live.append((doc_id, index, rng))
+        if not live:
             raise ValueError(f"token {token} not allowed here")
-        return SubstringConstraint(self.entries, ranges)
+        # Skips __init__, which starts every document at its full range.
+        stepped = object.__new__(SubstringConstraint)
+        stepped.live = tuple(live)
+        stepped._terminal = True
+        return stepped
 
     def is_terminal(self) -> bool:
-        # Whether a token has been stepped: a step drops the sentinel's row,
-        # so it narrows every document's range below the full one.
-        return any(
-            rng != index.full_range()
-            for (_, index), rng in zip(self.entries, self.ranges)
-        )
+        return self._terminal
 
 
 @dataclass(frozen=True)
@@ -144,19 +142,6 @@ class BeamConfig:
             raise ValueError("beam_size must be at least 1")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
-
-
-@dataclass
-class Hypothesis:
-    constraint: Constraint
-    tokens: tuple[int, ...] = ()
-    cum_logprob: float = 0.0
-
-    @property
-    def normalized(self) -> float:
-        if not self.tokens:
-            raise ValueError("cannot normalize an empty hypothesis")
-        return self.cum_logprob / len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -184,23 +169,24 @@ def constrained_beam_search(
     if not root_allowed:
         raise ValueError("constraint offers no tokens at the start")
     prompt = list(prompt)
-    live = [Hypothesis(constraint=constraint)]
-    finished: list[Hypothesis] = []
+    # Hypotheses are (cum_logprob, tokens, constraint); only the root has no
+    # tokens.
+    live = [(0.0, (), constraint)]
+    finished = []
 
     for _ in range(config.max_len):
         if not live:
             break
-        # (-cum_logprob, tokens, parent): only the kept ones get stepped.
-        candidates: list[tuple[float, tuple[int, ...], Hypothesis]] = []
-        for hyp in live:
-            # Only the root hypothesis has no tokens yet.
-            allowed = hyp.constraint.allowed() if hyp.tokens else root_allowed
+        # (-cum_logprob, tokens, parent constraint): only the kept ones get
+        # stepped.
+        candidates: list[tuple[float, tuple[int, ...], Constraint]] = []
+        for cum, tokens, state in live:
+            allowed = state.allowed() if tokens else root_allowed
             if not allowed:
                 continue
-            scores, rest = scorer.log_probs(prompt + list(hyp.tokens), allowed)
-            if hyp.tokens and END_ID in allowed:
-                finished.append(hyp)
-            cum = hyp.cum_logprob
+            scores, rest = scorer.log_probs(prompt + list(tokens), allowed)
+            if tokens and END_ID in allowed:
+                finished.append((cum, tokens, state))
             # The per-parent cut uses the global key, not lp alone: float
             # addition can tie children whose lp differ.
             keys = [(-(cum + lp), tok) for tok, lp in scores.items() if tok != END_ID]
@@ -212,24 +198,18 @@ def constrained_beam_search(
             if len(keys) > config.beam_size:
                 keys = heapq.nsmallest(config.beam_size, keys)
             candidates.extend(
-                (neg_logprob, hyp.tokens + (token,), hyp)
-                for neg_logprob, token in keys
+                (neg_logprob, tokens + (token,), state) for neg_logprob, token in keys
             )
         # Candidate token tuples are distinct, so ties never compare parents.
         live = [
-            Hypothesis(
-                constraint=parent.constraint.step(tokens[-1]),
-                tokens=tokens,
-                cum_logprob=-neg_logprob,
-            )
+            (-neg_logprob, tokens, parent.step(tokens[-1]))
             for neg_logprob, tokens, parent in heapq.nsmallest(
                 config.beam_size, candidates
             )
         ]
 
-    finished.extend(
-        hyp for hyp in live if hyp.tokens and hyp.constraint.is_terminal()
-    )
+    # max_len is at least 1, so every hypothesis still live holds tokens.
+    finished.extend(hyp for hyp in live if hyp[2].is_terminal())
 
     if not finished:
         logger.warning(
@@ -239,8 +219,9 @@ def constrained_beam_search(
             config.max_len,
         )
         return []
-    finished.sort(key=lambda h: (-h.normalized, h.tokens))
-    return [
-        BeamResult(tokens=h.tokens, score=h.normalized, constraint=h.constraint)
-        for h in finished[: config.beam_size]
+    results = [
+        BeamResult(tokens=tokens, score=cum / len(tokens), constraint=state)
+        for cum, tokens, state in finished
     ]
+    results.sort(key=lambda r: (-r.score, r.tokens))
+    return results[: config.beam_size]

@@ -159,8 +159,9 @@ def recall_prefixes(
 ) -> list[BeamResult]:
     """Decode up to beam2 short prefixes constrained to the selected docs.
 
-    Each result's constraint is a ``SubstringConstraint`` that holds the
-    prefix's suffix-array range in every selected document.
+    Each result's constraint is a ``SubstringConstraint`` whose ``live``
+    holds the prefix's suffix-array range in each selected document it
+    occurs in, in stage-1 order.
     """
     entries = []
     for result in selected:
@@ -181,15 +182,11 @@ def localize(prefix: BeamResult) -> tuple[str, int]:
     """First occurrence of a stage-2 prefix, in the first document it is
     live in, read off the decoder's final range there.
 
-    The constraint keeps the selected documents in stage-1 order, so this
-    is the first match a scan of them in score order would find.
+    The constraint keeps its live documents in stage-1 order, so this is
+    the first match a scan of the selected documents in score order would
+    find.
     """
-    state = prefix.constraint
-    doc_id, index, rng = next(
-        (doc_id, index, rng)
-        for (doc_id, index), rng in zip(state.entries, state.ranges)
-        if not rng.empty
-    )
+    doc_id, index, rng = prefix.constraint.live[0]
     return doc_id, index.starts(rng, len(prefix.tokens))[0]
 
 

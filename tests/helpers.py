@@ -100,16 +100,12 @@ def walk_range(index: BWTIndex, pattern) -> SearchRange:
     what can follow; a pattern the document lacks gives the empty range.
     """
     state = walk(SubstringConstraint([("doc", index)]), pattern)
-    return EMPTY_RANGE if state is None else state.ranges[0]
+    return EMPTY_RANGE if state is None else state.live[0][2]
 
 
 def live_doc_ids(constraint: SubstringConstraint) -> list[str]:
     """Documents, in constraint order, whose range is still nonempty."""
-    return [
-        doc_id
-        for (doc_id, _), rng in zip(constraint.entries, constraint.ranges)
-        if not rng.empty
-    ]
+    return [doc_id for doc_id, _, _ in constraint.live]
 
 
 def build_artifacts(corpus: Corpus) -> tuple[TitleTrie, dict[str, BWTIndex]]:

@@ -545,6 +545,19 @@ class TestRecall:
             for ref in record["references"]:
                 assert set(ref) == REFERENCE_KEYS
 
+    def test_byte_order_mark_is_not_part_of_the_first_query(self, workspace, tmp_path):
+        # Some editors start a UTF-8 text file with the byte order mark.
+        queries_path = tmp_path / "queries.txt"
+        with open(workspace["queries_path"], "rb") as fh:
+            queries_path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        path = recall_to(
+            {**workspace, "queries_path": str(queries_path)}, tmp_path / "out.jsonl"
+        )
+        records = read_lines(path)[1:]
+        assert [r["query"] for r in records] == [q for q, _ in workspace["queries"]]
+        evaluate = ["evaluate", "--recall-output", path, "--gold", workspace["gold_path"]]
+        assert run_cli(evaluate) == 0
+
     def test_stdout_by_default(self, workspace, capsys):
         code = run_cli(
             [

@@ -10,7 +10,6 @@ import oracles
 from passrecall.corpus import END_ID
 from passrecall.decode import (
     BeamConfig,
-    Hypothesis,
     SubstringConstraint,
     TrieConstraint,
     constrained_beam_search,
@@ -111,11 +110,6 @@ class TestBeamConfig:
             BeamConfig(beam_size=0, max_len=4)
         with pytest.raises(ValueError):
             BeamConfig(beam_size=4, max_len=0)
-
-    def test_empty_hypothesis_has_no_normalized_score(self):
-        hyp = Hypothesis(constraint=None)
-        with pytest.raises(ValueError):
-            hyp.normalized
 
 
 class TestTitleSearch:

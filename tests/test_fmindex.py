@@ -198,6 +198,7 @@ class TestSubstringConstraint:
                 for _ in range(rng.randrange(1, 4))
             ]
             state = self.build_set(bodies)
+            assert not state.is_terminal()
             generated = []
             for _ in range(6):
                 allowed = state.allowed()
@@ -209,12 +210,19 @@ class TestSubstringConstraint:
                 state = state.step(token)
                 assert state.is_terminal()
                 generated.append(token)
-                expected_live = [
-                    f"doc-{i}"
+                # live holds, in entry order, exactly the documents the
+                # prefix occurs in, each with a range of its starts, which
+                # is nonempty because every expected list is.
+                expected = [
+                    (f"doc-{i}", starts)
                     for i, body in enumerate(bodies)
-                    if oracles.naive_count(body, generated) > 0
+                    if (starts := oracles.naive_locate(body, generated))
                 ]
-                assert helpers.live_doc_ids(state) == expected_live
+                got = [
+                    (doc_id, index.starts(rng_, len(generated)))
+                    for doc_id, index, rng_ in state.live
+                ]
+                assert got == expected
 
     def test_dead_doc_stays_dead(self):
         state = self.build_set([[3, 4], [5, 6]])
