@@ -22,7 +22,7 @@ import mmap
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from . import __version__
@@ -42,7 +42,6 @@ from .pipeline import (
     InternalInconsistencyError,
     RecallConfig,
     RecallEngine,
-    Reference,
 )
 from .scorer import (
     NGRAM_ORDER,
@@ -181,7 +180,7 @@ def _build_config(args: argparse.Namespace) -> RecallConfig:
     settings: dict = {}
     if args.config:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8-sig") as fh:
                 file_conf = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"cannot read config file: {exc}") from exc
@@ -245,18 +244,6 @@ def _make_scorer(args: argparse.Namespace, artifacts: Artifacts):
     return scorer, {"type": "remote", "endpoint": endpoint}
 
 
-def _reference_record(ref: Reference) -> dict:
-    return {
-        "doc_id": ref.doc_id,
-        "title": ref.title,
-        "start": ref.start,
-        "passage_text": ref.passage_text,
-        "score1": ref.score1,
-        "score2": ref.score2,
-        "combined": ref.combined,
-    }
-
-
 def run_recall_batch(engine: RecallEngine, queries: Sequence[str]) -> list[dict]:
     """One record per query, input order preserved."""
     records = []
@@ -269,7 +256,7 @@ def run_recall_batch(engine: RecallEngine, queries: Sequence[str]) -> list[dict]
         records.append(
             {
                 "query": query,
-                "references": [_reference_record(r) for r in references],
+                "references": [asdict(r) for r in references],
             }
         )
     return records
@@ -340,7 +327,7 @@ def _is_recall_record(record) -> bool:
 
 def read_recall_output(path: str) -> tuple[dict, list[dict]]:
     """Split a recall output file into its metadata header and records."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
     if not lines:
         raise DataError("recall output is empty")

@@ -89,9 +89,6 @@ class TokenCodec:
         """All non-reserved surfaces in id order (id 3 first)."""
         return list(self._surfaces)
 
-    def token_id(self, surface: str) -> int | None:
-        return self._ids.get(surface)
-
     def vocab_hash(self) -> str:
         digest = hashlib.sha256()
         digest.update(self.policy.encode("utf-8"))
@@ -301,7 +298,7 @@ def iter_jsonl_records(path: str) -> Iterator[Mapping]:
     Blank lines are ignored; a malformed line raises IngestError naming the
     line number.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

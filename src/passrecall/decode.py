@@ -83,11 +83,12 @@ class TrieConstraint:
 class SubstringConstraint:
     """Restricts generation to verbatim substrings of an ordered document set.
 
-    ``live`` holds one ``(doc_id, index, range)`` per document the generated
-    prefix still occurs in, in the order the documents were given; the range
-    is the prefix's suffix-array range there.  A step keeps only the
-    documents whose range stays nonempty, so a dead document is dropped and
-    never revives.  The constraint is a cheap per-hypothesis value, so
+    ``live`` holds one ``(doc_id, index, lo, hi)`` per document the
+    generated prefix still occurs in, in the order the documents were given;
+    rows ``[lo, hi)`` are the prefix's suffix-array range there, and the
+    root starts each document at ``(0, len(index.sa))``.  A step keeps only
+    the documents with ``lo < hi``, so a dead document is dropped and never
+    revives.  The constraint is a cheap per-hypothesis value, so
     ``step`` returns a new instance instead of mutating.
 
     END_ID only becomes legal when every live occurrence has reached its
@@ -100,14 +101,14 @@ class SubstringConstraint:
 
     def __init__(self, entries: Sequence[tuple[str, BWTIndex]]):
         self.live = tuple(
-            (doc_id, index, index.full_range()) for doc_id, index in entries
+            (doc_id, index, 0, len(index.sa)) for doc_id, index in entries
         )
         self._terminal = False
 
     def allowed(self) -> set[int]:
         successors: set[int] = set()
-        for _, index, rng in self.live:
-            successors |= index.range_successors(rng)
+        for _, index, lo, hi in self.live:
+            successors |= index.range_successors(lo, hi)
         if successors or not self._terminal:
             return successors
         return {END_ID}
@@ -116,10 +117,10 @@ class SubstringConstraint:
         if token == END_ID:
             raise ValueError("the search finishes on END_ID instead of stepping")
         live = []
-        for doc_id, index, rng in self.live:
-            rng = index.backward_extend(rng, token)
-            if not rng.empty:
-                live.append((doc_id, index, rng))
+        for doc_id, index, lo, hi in self.live:
+            lo, hi = index.backward_extend(lo, hi, token)
+            if lo < hi:
+                live.append((doc_id, index, lo, hi))
         if not live:
             raise ValueError(f"token {token} not allowed here")
         # Skips __init__, which starts every document at its full range.

@@ -11,7 +11,7 @@ rounded to two decimals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .corpus import split_text
@@ -122,7 +122,7 @@ def aggregate(results: Sequence[ItemResult]) -> EvalReport:
 def load_gold(path: str) -> list[EvalItem]:
     """Read line-delimited gold records, with line numbers in any complaint."""
     items = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -147,21 +147,7 @@ def load_gold(path: str) -> list[EvalItem]:
 
 
 def report_json(report: EvalReport) -> str:
-    payload = {
-        "r_precision_mean": report.r_precision_mean,
-        "in_context_rate": report.in_context_rate,
-        "skipped_provenance": report.skipped_provenance,
-        "skipped_answers": report.skipped_answers,
-        "items": [
-            {
-                "query": item.query,
-                "r_precision": item.r_precision,
-                "in_context": item.in_context,
-            }
-            for item in report.items
-        ],
-    }
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True)
+    return json.dumps(asdict(report), ensure_ascii=False, sort_keys=True)
 
 
 def report_table(report: EvalReport) -> str:

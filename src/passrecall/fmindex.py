@@ -8,10 +8,12 @@ the body's own left-to-right coordinates.  Backward extension is a pair of
 rank queries answered by binary search inside one symbol's group of BWT
 rows; the tokens that can follow a prefix are the distinct symbols in its
 BWT rows, read from the symbol table for the full range and by one scan of
-the rows for any narrower one.  The index answers only what recall asks:
-a pattern's range is reached one backward extension per token, as the
-stage-2 constraint steps, and ``starts`` reads the pattern's positions off
-that range.  Every table is a flat ``array('I')``.  An
+the rows for any narrower one.  A range is two plain ints, the half-open
+rows ``[lo, hi)``, empty when ``lo >= hi``, and the full range is
+``(0, len(sa))``.  The index answers only what recall asks: a pattern's
+range is reached one backward extension per token, as the stage-2
+constraint steps, and ``starts`` reads the pattern's positions off that
+range.  Every table is a flat ``array('I')``.  An
 index section stores only the document id and the suffix array, so
 ``passrecall build`` computes only the suffix array; ``load_index`` checks
 the stored id against the document's and builds the BWT and rank tables
@@ -26,7 +28,7 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from itertools import accumulate, chain, repeat
 from operator import add, mul, ne, setitem
-from typing import BinaryIO, NamedTuple, Sequence
+from typing import BinaryIO, Sequence
 
 from .corpus import FIRST_ID, SENTINEL_ID, Document
 from .storage import KIND_FMINDEX, Reader, StorageError, Writer
@@ -78,20 +80,6 @@ def bwt_from_sa(tokens: Sequence[int], sa: Sequence[int]) -> array:
     return array("I", map(last.__getitem__, sa))
 
 
-class SearchRange(NamedTuple):
-    """Half-open row interval [lo, hi) of the suffix array."""
-
-    lo: int
-    hi: int
-
-    @property
-    def empty(self) -> bool:
-        return self.lo >= self.hi
-
-
-EMPTY_RANGE = SearchRange(0, 0)
-
-
 class BWTIndex:
     """FM-index over one document's reversed token sequence.
 
@@ -102,7 +90,8 @@ class BWTIndex:
     ``occ[bounds[i]:bounds[i + 1]]``.  So ``bounds[i]`` is the C-table entry
     of ``symbols[i]``, and a row's place in ``occ`` is its LF-mapped row.
     An index holds no document id, since callers key it by one, and no
-    text length, which is ``len(sa) - 1``.
+    text length, which is ``len(sa) - 1``.  Every query takes and returns
+    a range as the two rows ``lo, hi``.
     """
 
     def __init__(self, tokens: Sequence[int], sa: array):
@@ -118,7 +107,6 @@ class BWTIndex:
         for symbol in self.symbols:
             self.occ.extend(groups[symbol])
             self.bounds.append(len(self.occ))
-        self._full_range = SearchRange(0, len(self.bwt))
 
     @classmethod
     def build(cls, tokens: Sequence[int]) -> "BWTIndex":
@@ -126,43 +114,40 @@ class BWTIndex:
             raise ValueError("document tokens may not contain reserved ids")
         return cls(tokens, array("I", build_suffix_array(tokens[::-1])))
 
-    def full_range(self) -> SearchRange:
-        return self._full_range
-
-    def backward_extend(self, rng: SearchRange, symbol: int) -> SearchRange:
-        """Narrow ``rng`` to the rows whose suffixes start with symbol+pattern."""
+    def backward_extend(self, lo: int, hi: int, symbol: int) -> tuple[int, int]:
+        """Narrow rows [lo, hi) to the rows whose suffixes start with
+        symbol+pattern; an empty pair when the symbol is absent."""
         symbols = self.symbols
         i = bisect_left(symbols, symbol)
         if i == len(symbols) or symbols[i] != symbol:
-            return EMPTY_RANGE
-        occ, lo, hi = self.occ, self.bounds[i], self.bounds[i + 1]
-        return SearchRange(
-            bisect_left(occ, rng.lo, lo, hi), bisect_left(occ, rng.hi, lo, hi)
-        )
+            return 0, 0
+        occ, first, last = self.occ, self.bounds[i], self.bounds[i + 1]
+        return bisect_left(occ, lo, first, last), bisect_left(occ, hi, first, last)
 
-    def range_successors(self, rng: SearchRange) -> set[int]:
+    def range_successors(self, lo: int, hi: int) -> set[int]:
         """Distinct non-sentinel symbols of bwt[lo:hi): the symbols whose
-        backward extension of ``rng`` is nonempty.
+        backward extension of rows [lo, hi) is nonempty.
 
         The full range holds every symbol, so its answer is read from
         ``symbols``; any other range is one scan of its BWT rows.
         """
-        if rng == self._full_range:
+        if lo == 0 and hi == len(self.sa):
             successors = set(self.symbols)
         else:
-            successors = set(self.bwt[rng.lo : rng.hi])
+            successors = set(self.bwt[lo:hi])
         successors.discard(SENTINEL_ID)
         return successors
 
-    def starts(self, rng: SearchRange, length: int) -> list[int]:
-        """Sorted start offsets of the ``length``-token pattern matched by ``rng``.
+    def starts(self, lo: int, hi: int, length: int) -> list[int]:
+        """Sorted start offsets of the ``length``-token pattern matched by
+        rows [lo, hi).
 
         Row r's suffix of the reversed text begins with the reversed pattern,
         so the pattern ends at n - 1 - sa[r] in an original text of n tokens,
         where ``sa`` holds n + 1 rows.
         """
         shift = len(self.sa) - 1 - length
-        return sorted(shift - self.sa[row] for row in range(rng.lo, rng.hi))
+        return sorted(shift - pos for pos in self.sa[lo:hi])
 
 
 def save_index(doc_id: str, sa: Sequence[int], handle: BinaryIO) -> None:

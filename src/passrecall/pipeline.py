@@ -186,8 +186,8 @@ def localize(prefix: BeamResult) -> tuple[str, int]:
     the first match a scan of the selected documents in score order would
     find.
     """
-    doc_id, index, rng = prefix.constraint.live[0]
-    return doc_id, index.starts(rng, len(prefix.tokens))[0]
+    doc_id, index, lo, hi = prefix.constraint.live[0]
+    return doc_id, index.starts(lo, hi, len(prefix.tokens))[0]
 
 
 def extract_reference(doc: Document, start: int, passage_len: int) -> array:

@@ -16,7 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from passrecall.corpus import Corpus, ingest_corpus
 from passrecall.decode import SubstringConstraint
-from passrecall.fmindex import EMPTY_RANGE, BWTIndex, SearchRange
+from passrecall.fmindex import BWTIndex
 from passrecall.pipeline import RecallConfig
 from passrecall.scorer import PromptTemplate
 from passrecall.trie import TitleTrie, build_trie
@@ -92,20 +92,21 @@ def walk(constraint, tokens):
     return constraint
 
 
-def walk_range(index: BWTIndex, pattern) -> SearchRange:
-    """The range a one-document substring walk through ``pattern`` ends on.
+def walk_range(index: BWTIndex, pattern) -> tuple[int, int]:
+    """The rows ``(lo, hi)`` a one-document substring walk through
+    ``pattern`` ends on.
 
-    Its width counts the pattern's occurrences, ``index.starts(rng,
-    len(pattern))`` locates them and ``index.range_successors(rng)`` lists
-    what can follow; a pattern the document lacks gives the empty range.
+    ``hi - lo`` counts the pattern's occurrences, ``index.starts(lo, hi,
+    len(pattern))`` locates them and ``index.range_successors(lo, hi)``
+    lists what can follow; a pattern the document lacks gives ``(0, 0)``.
     """
     state = walk(SubstringConstraint([("doc", index)]), pattern)
-    return EMPTY_RANGE if state is None else state.live[0][2]
+    return (0, 0) if state is None else state.live[0][2:]
 
 
 def live_doc_ids(constraint: SubstringConstraint) -> list[str]:
     """Documents, in constraint order, whose range is still nonempty."""
-    return [doc_id for doc_id, _, _ in constraint.live]
+    return [doc_id for doc_id, *_ in constraint.live]
 
 
 def build_artifacts(corpus: Corpus) -> tuple[TitleTrie, dict[str, BWTIndex]]:

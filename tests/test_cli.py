@@ -423,6 +423,57 @@ def test_unreadable_input_is_a_data_error(workspace, tmp_path, capsys, make_argv
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _bom_copy(source, target, bom):
+    with open(source, "rb") as fh:
+        target.write_bytes(bom + fh.read())
+    return str(target)
+
+
+def _bom_corpus(workspace, folder, bom):
+    corpus = _bom_copy(workspace["corpus_path"], folder / "corpus.jsonl", bom)
+    return ["build", "--corpus", corpus, "--out", str(folder / "out")]
+
+
+def _bom_gold(workspace, folder, bom):
+    gold = _bom_copy(workspace["gold_path"], folder / "gold.jsonl", bom)
+    recall_output = recall_to(workspace, folder / "recall.jsonl")
+    return ["evaluate", "--recall-output", recall_output, "--gold", gold]
+
+
+def _bom_config(workspace, folder, bom):
+    (folder / "conf.json").write_bytes(bom + b'{"k": 1}')
+    return ["recall", "--index-dir", workspace["index_dir"],
+            "--queries", workspace["queries_path"],
+            "--config", str(folder / "conf.json")]
+
+
+def _bom_recall_output(workspace, folder, bom):
+    recall_output = recall_to(workspace, folder / "plain.jsonl")
+    recall_output = _bom_copy(recall_output, folder / "recall.jsonl", bom)
+    return ["evaluate", "--recall-output", recall_output,
+            "--gold", workspace["gold_path"]]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [_bom_corpus, _bom_gold, _bom_config, _bom_recall_output],
+    ids=lambda make_argv: make_argv.__name__.strip("_").replace("_", "-"),
+)
+def test_leading_byte_order_mark_is_ignored(workspace, tmp_path, capsys, make_argv):
+    # Some editors start a UTF-8 text file with the byte order mark.
+    outputs = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        folder = tmp_path / name
+        folder.mkdir()
+        assert run_cli(make_argv(workspace, folder, bom)) == 0
+        written = [
+            (path, (folder / "out" / path).read_bytes())
+            for path in helpers.tree_files(folder / "out")
+        ]
+        outputs.append((capsys.readouterr().out, written))
+    assert outputs[0] == outputs[1]
+
+
 # One line nested far deeper than the JSON decoder's recursion limit.
 DEEPLY_NESTED = "[" * 200_000 + "]" * 200_000
 

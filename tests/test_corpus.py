@@ -53,7 +53,7 @@ class TestWordCodec:
         codec = make_word_codec("banana apple Cherry")
         surfaces = codec.surfaces()
         assert surfaces == sorted(surfaces)
-        assert codec.token_id(surfaces[0]) == FIRST_ID
+        assert codec.encode(surfaces[0]) == [FIRST_ID]
 
     def test_reserved_ids_never_produced(self):
         codec = make_word_codec("a b c")
@@ -146,12 +146,13 @@ class TestPieceCodec:
     def test_uncovered_text_degrades_to_unk(self):
         codec = PieceCodec([" ab"])
         tokens = codec.encode("abz")
-        assert tokens[0] == codec.token_id(" ab")
+        assert codec.surface(tokens[0]) == " ab"
         assert tokens[1] == UNK_ID
 
     def test_decode_joins_word_start_pieces(self):
         codec = PieceCodec([" Testament", "ary", " and"])
-        ids = [codec.token_id(" Testament"), codec.token_id("ary")]
+        surfaces = codec.surfaces()
+        ids = [FIRST_ID + surfaces.index(piece) for piece in (" Testament", "ary")]
         assert codec.decode(ids) == "Testamentary"
 
     def test_duplicate_pieces_rejected(self):
@@ -210,7 +211,7 @@ class TestIngest:
         assert [doc.doc_id for doc in corpus.documents] == ["d1", "d2"]
         assert any("d3" in message for message in caplog.messages)
         # A skipped record's title stays out of the vocabulary.
-        assert corpus.codec.token_id("Empty") is None
+        assert "Empty" not in corpus.codec.surfaces()
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(IngestError, match="no usable documents"):

@@ -13,7 +13,6 @@ from passrecall.corpus import END_ID, SENTINEL_ID, Document
 from passrecall.decode import SubstringConstraint
 from passrecall.fmindex import (
     BWTIndex,
-    SearchRange,
     build_suffix_array,
     bwt_from_sa,
     load_index,
@@ -103,9 +102,9 @@ class TestBWTIndexReversed:
                     pattern = text[i : i + m]
                 else:
                     pattern = random_case(rng, alphabet=3, length=m)
-                rng_ = helpers.walk_range(index, pattern)
-                assert rng_.hi - rng_.lo == oracles.naive_count(text, pattern)
-                assert index.starts(rng_, len(pattern)) == oracles.naive_locate(
+                lo, hi = helpers.walk_range(index, pattern)
+                assert hi - lo == oracles.naive_count(text, pattern)
+                assert index.starts(lo, hi, len(pattern)) == oracles.naive_locate(
                     text, pattern
                 )
 
@@ -123,7 +122,7 @@ class TestBWTIndexReversed:
                     prefix = text[i : i + m]
                 else:
                     prefix = random_case(rng, alphabet=4, length=m)
-                got = index.range_successors(helpers.walk_range(index, prefix))
+                got = index.range_successors(*helpers.walk_range(index, prefix))
                 assert got == oracles.naive_successors([text], prefix), (
                     text,
                     prefix,
@@ -145,7 +144,7 @@ class TestBWTIndexReversed:
         ],
     )
     def test_full_range_successors_are_every_symbol(self, bodies):
-        # The full range is answered from c_table, not from the BWT rows.
+        # The full range is answered from symbols, not from the BWT rows.
         entries = []
         for i, body in enumerate(bodies):
             doc = Document(f"doc-{i}", (3,), tuple(body))
@@ -156,7 +155,7 @@ class TestBWTIndexReversed:
             loaded = load_index(buf, doc)
             expected = oracles.naive_successors([body], [])
             for idx in (index, loaded):
-                assert idx.range_successors(idx.full_range()) == expected
+                assert idx.range_successors(0, len(idx.sa)) == expected
             entries.append((doc.doc_id, loaded))
         state = SubstringConstraint(entries)
         assert state.allowed() == oracles.naive_successors(bodies, [])
@@ -167,12 +166,13 @@ class TestBWTIndexReversed:
 
     def test_backward_extend_empty_range_stays_empty(self):
         index = BWTIndex.build([3, 4, 5])
-        rng_ = index.backward_extend(SearchRange(2, 2), 3)
-        assert rng_.empty
+        lo, hi = index.backward_extend(2, 2, 3)
+        assert lo >= hi
 
     def test_absent_symbol_gives_empty_range(self):
         index = BWTIndex.build([3, 4, 5])
-        assert index.backward_extend(index.full_range(), 99).empty
+        lo, hi = index.backward_extend(0, len(index.sa), 99)
+        assert lo >= hi
 
 
 class TestSubstringConstraint:
@@ -219,8 +219,8 @@ class TestSubstringConstraint:
                     if (starts := oracles.naive_locate(body, generated))
                 ]
                 got = [
-                    (doc_id, index.starts(rng_, len(generated)))
-                    for doc_id, index, rng_ in state.live
+                    (doc_id, index.starts(lo, hi, len(generated)))
+                    for doc_id, index, lo, hi in state.live
                 ]
                 assert got == expected
 
@@ -245,8 +245,8 @@ class TestPersistence:
         assert len(loaded.sa) == len(text) + 1
         assert loaded.sa == index.sa and loaded.bwt == index.bwt
         for idx in (index, loaded):
-            assert idx.starts(helpers.walk_range(idx, [3, 5]), 2) == [3]
-        assert loaded.range_successors(loaded.full_range()) == set(text)
+            assert idx.starts(*helpers.walk_range(idx, [3, 5]), 2) == [3]
+        assert loaded.range_successors(0, len(loaded.sa)) == set(text)
 
     def test_save_is_deterministic(self):
         index = BWTIndex.build([4, 4, 3, 5])
@@ -304,25 +304,25 @@ class TestArrayBackedIndex:
             for lo, hi in ranges:
                 live = set()
                 for symbol in symbols:
-                    got = index.backward_extend(SearchRange(lo, hi), symbol)
+                    got = index.backward_extend(lo, hi, symbol)
                     want = oracles.naive_backward_extend(index.bwt, lo, hi, symbol)
                     if want is None:
-                        assert got.empty, (lo, hi, symbol)
+                        assert got[0] >= got[1], (lo, hi, symbol)
                     else:
-                        assert (got.lo, got.hi) == want, (lo, hi, symbol)
+                        assert got == want, (lo, hi, symbol)
                         live.add(symbol)
                 live.discard(SENTINEL_ID)
-                assert index.range_successors(SearchRange(lo, hi)) == live
+                assert index.range_successors(lo, hi) == live
             for _ in range(20):
                 m = rng.randrange(1, min(4, len(body)) + 1)
                 i = rng.randrange(len(body) - m + 1)
                 # The body's own pattern, then one that runs past it.
                 for pattern in (body[i : i + m], body[i : i + m] + [6]):
                     match = helpers.walk_range(index, pattern)
-                    assert index.starts(match, len(pattern)) == oracles.naive_locate(
+                    assert index.starts(*match, len(pattern)) == oracles.naive_locate(
                         body, pattern
                     )
-                    assert index.range_successors(match) == oracles.naive_successors(
+                    assert index.range_successors(*match) == oracles.naive_successors(
                         [body], pattern
                     )
-            assert index.range_successors(index.full_range()) == set(body)
+            assert index.range_successors(0, rows) == set(body)
