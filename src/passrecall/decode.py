@@ -4,10 +4,11 @@ A constraint walks in lockstep with generation: at each step the candidate
 set is whatever the constraint allows, so every emitted sequence exists in
 the backing structure by construction.  Stage 1 walks a title trie; stage
 2 walks a set of per-document FM-indexes, where appending a token is one
-backward-extension step per live document.  The terminator (id 0) is a
-control signal, not content: choosing it freezes the hypothesis without
-scoring the terminator itself, and the final score is the mean
-log-probability of the content tokens alone.
+backward-extension step per live document until the prefix has one
+occurrence left, and from then on reads that document's next body token.
+The terminator (id 0) is a control signal, not content: choosing it
+freezes the hypothesis without scoring the terminator itself, and the
+final score is the mean log-probability of the content tokens alone.
 
 Each beam step first cuts every parent's children to its own best
 ``beam_size``, then keeps the best ``beam_size`` of what is left.  The cut
@@ -95,7 +96,9 @@ class SubstringConstraint:
     document's end; until then the prefix keeps growing and stops only at
     the search's length cap.  Any nonempty prefix is terminal, which is what
     lets length-capped prefixes finish cleanly, so every step sets the
-    terminal flag and only the root lacks it.  ``pipeline.localize`` reads
+    terminal flag and only the root lacks it.  A step that leaves one live
+    document with a one-row range returns a ``PinnedConstraint`` instead,
+    which allows the same tokens from there on.  ``pipeline.localize`` reads
     the prefix's start off the first live document.
     """
 
@@ -123,6 +126,12 @@ class SubstringConstraint:
                 live.append((doc_id, index, lo, hi))
         if not live:
             raise ValueError(f"token {token} not allowed here")
+        if len(live) == 1:
+            doc_id, index, lo, hi = live[0]
+            if hi == lo + 1:
+                # Row lo's suffix of the reversed body starts at sa[lo], so
+                # the prefix ends just before body position n - sa[lo].
+                return PinnedConstraint(doc_id, index, len(index.body) - index.sa[lo])
         # Skips __init__, which starts every document at its full range.
         stepped = object.__new__(SubstringConstraint)
         stepped.live = tuple(live)
@@ -131,6 +140,42 @@ class SubstringConstraint:
 
     def is_terminal(self) -> bool:
         return self._terminal
+
+
+class PinnedConstraint:
+    """A substring prefix with one occurrence left, in document ``doc_id``.
+
+    A pattern that occurs once lies on a leaf edge of the suffix tree, which
+    spells the rest of the text (Gusfield, 1997, ch. 5), so the only token
+    that can follow is the body's next one.  ``pos`` is the body position
+    just past the prefix: ``allowed`` is ``{body[pos]}``, or ``{END_ID}`` at
+    the body's end, and a step checks that token and moves ``pos`` on, with
+    no index work.  The prefix starts at ``pos - len(prefix)``.  Only a
+    ``SubstringConstraint`` step makes one, so the state is always terminal.
+    """
+
+    __slots__ = ("doc_id", "index", "pos")
+
+    def __init__(self, doc_id: str, index: BWTIndex, pos: int):
+        self.doc_id = doc_id
+        self.index = index
+        self.pos = pos
+
+    def allowed(self) -> set[int]:
+        body, pos = self.index.body, self.pos
+        return {body[pos]} if pos < len(body) else {END_ID}
+
+    def step(self, token: int) -> "PinnedConstraint":
+        body, pos = self.index.body, self.pos
+        if pos < len(body) and body[pos] == token:
+            return PinnedConstraint(self.doc_id, self.index, pos + 1)
+        # No body token is END_ID, so END_ID always reaches this point.
+        if token == END_ID:
+            raise ValueError("the search finishes on END_ID instead of stepping")
+        raise ValueError(f"token {token} not allowed here")
+
+    def is_terminal(self) -> bool:
+        return True
 
 
 @dataclass(frozen=True)

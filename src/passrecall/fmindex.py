@@ -89,13 +89,16 @@ class BWTIndex:
     the sorted distinct symbols, and the group of ``symbols[i]`` is
     ``occ[bounds[i]:bounds[i + 1]]``.  So ``bounds[i]`` is the C-table entry
     of ``symbols[i]``, and a row's place in ``occ`` is its LF-mapped row.
-    An index holds no document id, since callers key it by one, and no
-    text length, which is ``len(sa) - 1``.  Every query takes and returns
-    a range as the two rows ``lo, hi``.
+    ``body`` is the token sequence the index was built from, held by
+    reference, not copied, so a caller can read a document's text past a
+    prefix with one occurrence.  An index holds no document id, since
+    callers key it by one.  Every query takes and returns a range as the
+    two rows ``lo, hi``.
     """
 
     def __init__(self, tokens: Sequence[int], sa: array):
         """``sa`` is the suffix array of ``tokens`` reversed."""
+        self.body = tokens
         self.bwt = bwt_from_sa(tokens[::-1], sa)
         self.sa = sa
         groups: dict[int, list[int]] = defaultdict(list)

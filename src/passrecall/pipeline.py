@@ -4,10 +4,11 @@ Stage 1 decodes a document title under the trie constraint and keeps the
 top k distinct documents.  Stage 2 decodes a short prefix (prefix_len
 tokens) constrained to be a verbatim substring of those documents, reads
 its first occurrence off the suffix-array range the decoder ends on in the
-first document it is still live in, and extracts passage_len tokens from
-there.  The two stage scores are combined as alpha * score1 + (1 - alpha) *
-score2, where a weight of 0 drops its term, and references are ranked by
-the combined value.
+first document it is still live in, or off the body position the decoder
+pinned it to once one occurrence was left, and extracts passage_len tokens
+from there.  The two stage scores are combined as alpha * score1 + (1 -
+alpha) * score2, where a weight of 0 drops its term, and references are
+ranked by the combined value.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .corpus import Corpus, Document
 from .decode import (
     BeamConfig,
     BeamResult,
+    PinnedConstraint,
     SubstringConstraint,
     TrieConstraint,
     constrained_beam_search,
@@ -161,7 +163,8 @@ def recall_prefixes(
 
     Each result's constraint is a ``SubstringConstraint`` whose ``live``
     holds the prefix's suffix-array range in each selected document it
-    occurs in, in stage-1 order.
+    occurs in, in stage-1 order, or a ``PinnedConstraint`` once the prefix
+    occurs only once.
     """
     entries = []
     for result in selected:
@@ -184,9 +187,13 @@ def localize(prefix: BeamResult) -> tuple[str, int]:
 
     The constraint keeps its live documents in stage-1 order, so this is
     the first match a scan of the selected documents in score order would
-    find.
+    find.  A prefix with one occurrence left ends on a ``PinnedConstraint``,
+    which already holds its document and the position past it.
     """
-    doc_id, index, lo, hi = prefix.constraint.live[0]
+    state = prefix.constraint
+    if isinstance(state, PinnedConstraint):
+        return state.doc_id, state.pos - len(prefix.tokens)
+    doc_id, index, lo, hi = state.live[0]
     return doc_id, index.starts(lo, hi, len(prefix.tokens))[0]
 
 

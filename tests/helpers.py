@@ -15,7 +15,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from passrecall.corpus import Corpus, ingest_corpus
-from passrecall.decode import SubstringConstraint
+from passrecall.decode import PinnedConstraint, SubstringConstraint
 from passrecall.fmindex import BWTIndex
 from passrecall.pipeline import RecallConfig
 from passrecall.scorer import PromptTemplate
@@ -92,6 +92,21 @@ def walk(constraint, tokens):
     return constraint
 
 
+def live_entries(constraint) -> tuple[tuple[str, BWTIndex, int, int], ...]:
+    """The ``(doc_id, index, lo, hi)`` of every document a substring
+    constraint is still live in, in constraint order.
+
+    A ``PinnedConstraint`` reports its one document with the one row whose
+    suffix starts where the prefix does in the reversed body, the row an
+    unpinned walk would have ended on.
+    """
+    if not isinstance(constraint, PinnedConstraint):
+        return constraint.live
+    index = constraint.index
+    row = index.sa.index(len(index.body) - constraint.pos)
+    return ((constraint.doc_id, index, row, row + 1),)
+
+
 def walk_range(index: BWTIndex, pattern) -> tuple[int, int]:
     """The rows ``(lo, hi)`` a one-document substring walk through
     ``pattern`` ends on.
@@ -101,12 +116,12 @@ def walk_range(index: BWTIndex, pattern) -> tuple[int, int]:
     lists what can follow; a pattern the document lacks gives ``(0, 0)``.
     """
     state = walk(SubstringConstraint([("doc", index)]), pattern)
-    return (0, 0) if state is None else state.live[0][2:]
+    return (0, 0) if state is None else live_entries(state)[0][2:]
 
 
-def live_doc_ids(constraint: SubstringConstraint) -> list[str]:
+def live_doc_ids(constraint) -> list[str]:
     """Documents, in constraint order, whose range is still nonempty."""
-    return [doc_id for doc_id, *_ in constraint.live]
+    return [doc_id for doc_id, *_ in live_entries(constraint)]
 
 
 def build_artifacts(corpus: Corpus) -> tuple[TitleTrie, dict[str, BWTIndex]]:

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
 from passrecall.corpus import END_ID
 from passrecall.decode import (
     BeamConfig,
+    BeamResult,
+    PinnedConstraint,
     SubstringConstraint,
     TrieConstraint,
     constrained_beam_search,
 )
 from passrecall.fmindex import BWTIndex
+from passrecall.pipeline import localize
 from passrecall.scorer import NGramScorer
 from passrecall.trie import TitleTrie
 
@@ -102,6 +106,136 @@ class TestConstraints:
         state = state.step(3)
         with pytest.raises(ValueError, match="END_ID"):
             state.step(END_ID)
+
+
+def located(tokens, state):
+    """``localize`` of a stage-2 result that ends on ``state``."""
+    return localize(BeamResult(tuple(tokens), 0.0, state))
+
+
+class TestPinnedConstraint:
+    def test_matches_row_walk_and_oracles(self):
+        # Random walks from the root, checked at every step against the
+        # index's own rows, stepped one backward extension per document, and
+        # against a direct scan of the bodies.
+        rng = random.Random(28)
+        pinned_steps = unpinned_steps = 0
+        for _ in range(150):
+            bodies = [
+                [3 + rng.randrange(3) for _ in range(rng.randrange(1, 30))]
+                for _ in range(rng.randrange(1, 4))
+            ]
+            indexes = [BWTIndex.build(body) for body in bodies]
+            state = SubstringConstraint(
+                [(f"doc-{i}", index) for i, index in enumerate(indexes)]
+            )
+            rows = [(0, len(index.sa)) for index in indexes]
+            generated = []
+            for _ in range(rng.randrange(1, 20)):
+                successors = set()
+                for index, (lo, hi) in zip(indexes, rows):
+                    if lo < hi:
+                        successors |= index.range_successors(lo, hi)
+                want = oracles.naive_successors(bodies, generated)
+                assert successors == want
+                allowed = state.allowed()
+                assert allowed == (want or {END_ID})
+                if not want:
+                    break
+                token = rng.choice(sorted(allowed))
+                state = state.step(token)
+                generated.append(token)
+                rows = [
+                    index.backward_extend(lo, hi, token)
+                    for index, (lo, hi) in zip(indexes, rows)
+                ]
+                live = [(lo, hi) for lo, hi in rows if lo < hi]
+                pinned = len(live) == 1 and live[0][1] == live[0][0] + 1
+                assert isinstance(state, PinnedConstraint) == pinned
+                # The helpers report a pinned state's row as the walk's own.
+                assert [entry[2:] for entry in helpers.live_entries(state)] == live
+                assert state.is_terminal()
+                pinned_steps += pinned
+                unpinned_steps += not pinned
+                first = next(
+                    (f"doc-{i}", starts[0])
+                    for i, body in enumerate(bodies)
+                    if (starts := oracles.naive_locate(body, generated))
+                )
+                assert located(generated, state) == first
+        # Both paths ran, so the pinned one was checked.
+        assert pinned_steps > 100 and unpinned_steps > 100
+
+    def test_one_token_body(self):
+        state = substring_constraint([[7]])
+        assert state.allowed() == {7}
+        state = state.step(7)
+        assert isinstance(state, PinnedConstraint)
+        assert state.allowed() == {END_ID}
+        assert located([7], state) == ("doc-0", 0)
+        with pytest.raises(ValueError, match="not allowed"):
+            state.step(7)
+        results = constrained_beam_search(
+            UNTRAINED, [], substring_constraint([[7]]), BeamConfig(10, 16)
+        )
+        assert [r.tokens for r in results] == [(7,)]
+
+    def test_pinned_on_last_token_finishes_short(self):
+        # 5 occurs once, as the last token, so every prefix ending in it is
+        # pinned at the body's end, offered only END_ID and finishes short
+        # of the length cap.
+        body = [3, 4, 3, 4, 5]
+        state = substring_constraint([body]).step(5)
+        assert isinstance(state, PinnedConstraint)
+        assert state.allowed() == {END_ID}
+        results = constrained_beam_search(
+            UNTRAINED, [], substring_constraint([body]), BeamConfig(10, 16)
+        )
+        assert {r.tokens for r in results} == {
+            tuple(body[i:]) for i in range(len(body))
+        }
+        for result in results:
+            assert isinstance(result.constraint, PinnedConstraint)
+            assert result.constraint.allowed() == {END_ID}
+            assert located(result.tokens, result.constraint) == (
+                "doc-0",
+                len(body) - len(result.tokens),
+            )
+
+    def test_repeated_token_pins_only_at_its_end(self):
+        # 3 repeated m times occurs 13 - m times in twelve 3s.
+        state = substring_constraint([[3] * 12])
+        for m in range(1, 13):
+            state = state.step(3)
+            assert isinstance(state, PinnedConstraint) == (m == 12)
+            assert located([3] * m, state) == ("doc-0", 0)
+        assert state.allowed() == {END_ID}
+
+    def test_identical_bodies_never_pin(self):
+        body = [3, 4, 5, 6]
+        state = substring_constraint([body, body])
+        for m, token in enumerate(body, 1):
+            state = state.step(token)
+            assert isinstance(state, SubstringConstraint)
+            assert [doc_id for doc_id, *_ in state.live] == ["doc-0", "doc-1"]
+            assert located(body[:m], state) == ("doc-0", 0)
+        assert state.allowed() == {END_ID}
+
+    def test_body_past_65536_tokens(self):
+        rng = random.Random(65537)
+        body = [3 + rng.randrange(500) for _ in range(70_000)]
+        index = BWTIndex.build(body)
+        for start in (68_000, len(body) - 16):
+            tokens = body[start : start + 16]
+            assert oracles.naive_locate(body, tokens) == [start]
+            state = SubstringConstraint([("doc-0", index)])
+            for token in tokens:
+                state = state.step(token)
+            assert isinstance(state, PinnedConstraint)
+            assert located(tokens, state) == ("doc-0", start)
+            assert state.allowed() == (
+                {body[start + 16]} if start + 16 < len(body) else {END_ID}
+            )
 
 
 class TestBeamConfig:

@@ -220,7 +220,7 @@ class TestSubstringConstraint:
                 ]
                 got = [
                     (doc_id, index.starts(lo, hi, len(generated)))
-                    for doc_id, index, lo, hi in state.live
+                    for doc_id, index, lo, hi in helpers.live_entries(state)
                 ]
                 assert got == expected
 
