@@ -11,6 +11,10 @@ of a trie path and a passage an exact slice of the indexed body.
 Token ids 0, 1, 2 are reserved: 0 ends a generated sequence, 1 is the index
 sentinel (sorts below every real token), 2 is the unknown token.  Real tokens
 start at id 3.
+
+The corpus section stores the codec's policy, which names its class, then
+the vocabulary as one newline-joined text field, then each document's id,
+title ids and body ids.
 """
 
 from __future__ import annotations
@@ -57,12 +61,13 @@ class TokenCodec:
 
     Concrete codecs differ in how they segment text; all of them share the
     reserved-id convention and the id<->surface tables, which are complete
-    once the codec is made: the ``i``-th surface gets id ``FIRST_ID + i``,
-    and no surface may repeat.  ``encode`` never emits ids 0 or 1; unknown
-    surface forms map to id 2.
+    once the codec is made: the ``i``-th surface gets id ``FIRST_ID + i``.
+    No surface may repeat, be empty or hold a newline, so the vocabulary
+    is stored as one newline-joined field.  ``encode`` never emits ids 0
+    or 1; unknown surface forms map to id 2.  A codec's ``policy`` names
+    its segmentation and is what the corpus section stores.
     """
 
-    kind = "abstract"
     policy = "abstract"
 
     def __init__(self, surfaces: Sequence[str]) -> None:
@@ -70,6 +75,8 @@ class TokenCodec:
         self._ids = {s: FIRST_ID + i for i, s in enumerate(self._surfaces)}
         if len(self._ids) != len(self._surfaces):
             raise IngestError("duplicate surfaces in codec vocabulary")
+        if "" in self._ids or "\n" in "".join(self._surfaces):
+            raise IngestError("empty or multi-line surface in codec vocabulary")
 
     # -- vocabulary ---------------------------------------------------------
 
@@ -115,7 +122,6 @@ class WordCodec(TokenCodec):
     ``" ".join(split_text(s))`` for every string, unknowns aside.
     """
 
-    kind = "word"
     policy = "word:nfc,ws-collapse,punct-split,case-preserve"
 
     @classmethod
@@ -146,7 +152,6 @@ class PieceCodec(TokenCodec):
     covered text.
     """
 
-    kind = "piece"
     policy = "piece:nfc,ws-collapse,greedy-longest,case-preserve"
 
     def __init__(self, pieces: Sequence[str]):
@@ -187,7 +192,7 @@ class PieceCodec(TokenCodec):
         return "".join(parts).lstrip(" ")
 
 
-_CODEC_KINDS = {"word": WordCodec, "piece": PieceCodec}
+_CODECS = {codec.policy: codec for codec in (WordCodec, PieceCodec)}
 
 
 @dataclass
@@ -321,12 +326,8 @@ def load_jsonl_corpus(path: str) -> Corpus:
 def save_corpus(corpus: Corpus, handle: BinaryIO) -> None:
     writer = Writer(handle)
     writer.header(KIND_CORPUS)
-    writer.text(corpus.codec.kind)
     writer.text(corpus.codec.policy)
-    surfaces = corpus.codec.surfaces()
-    writer.u64(len(surfaces))
-    for surface in surfaces:
-        writer.text(surface)
+    writer.text("\n".join(corpus.codec.surfaces()))
     writer.u64(len(corpus.documents))
     for doc in corpus.documents:
         writer.text(doc.doc_id)
@@ -337,17 +338,11 @@ def save_corpus(corpus: Corpus, handle: BinaryIO) -> None:
 def load_corpus(handle: BinaryIO) -> Corpus:
     reader = Reader(handle)
     reader.header(KIND_CORPUS)
-    kind = reader.text()
     policy = reader.text()
-    if kind not in _CODEC_KINDS:
-        raise IngestError(f"unknown codec kind {kind!r}")
-    surfaces = [reader.text() for _ in range(reader.u64())]
-    codec = _CODEC_KINDS[kind](surfaces)
-    if codec.policy != policy:
-        raise IngestError(
-            f"codec policy mismatch: file says {policy!r}, "
-            f"codec implements {codec.policy!r}"
-        )
+    codec_cls = _CODECS.get(policy)
+    if codec_cls is None:
+        raise IngestError(f"unknown codec policy {policy!r}")
+    codec = codec_cls(reader.text().split("\n"))
     documents = []
     for _ in range(reader.u64()):
         doc_id = reader.text()

@@ -4,8 +4,10 @@ All artifacts live in one file written through one stream: the corpus
 section, the trie section, then one index section (document id and suffix
 array) per document in corpus order.  Every section starts with magic bytes
 ``MREF``, a little-endian u32 format version and a 4-byte section kind, then
-kind-specific fields.  Variable-length fields carry 64-bit little-endian
-length prefixes, checked against the bytes left before they are read.
+kind-specific fields.  Variable-length fields (UTF-8 text and u32
+sequences) carry 64-bit little-endian length prefixes, checked against the
+bytes left before they are read; the corpus section's whole vocabulary is
+one text field, its surfaces joined by newlines.
 Writers are fully deterministic: the same logical content always produces
 the same bytes.
 """
@@ -19,7 +21,7 @@ from array import array
 from typing import BinaryIO, Sequence
 
 MAGIC = b"MREF"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 KIND_CORPUS = b"CORP"
 KIND_TRIE = b"TRIE"

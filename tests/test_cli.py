@@ -250,22 +250,38 @@ def set_doc_id(doc_index, other_index):
     return edit
 
 
+def set_codec(policy, surfaces):
+    """Save the corpus under a codec that reports ``policy`` and the
+    vocabulary ``surfaces(corpus)``."""
+
+    def edit(corpus):
+        vocabulary = surfaces(corpus)
+        corpus.codec = SimpleNamespace(policy=policy, surfaces=lambda: vocabulary)
+
+    return edit
+
+
 def repeat_surface(codec_cls):
     """Save the vocabulary as ``codec_cls``'s, with one surface that no
     title uses replaced by another such surface."""
 
-    def edit(corpus):
+    def surfaces(corpus):
         surfaces = corpus.codec.surfaces()
         in_titles = {t for doc in corpus.documents for t in doc.title_tokens}
         first, second = [
             i for i in range(len(surfaces)) if i + FIRST_ID not in in_titles
         ][:2]
         surfaces[second] = surfaces[first]
-        corpus.codec = SimpleNamespace(
-            kind=codec_cls.kind, policy=codec_cls.policy, surfaces=lambda: surfaces
-        )
+        return surfaces
 
-    return edit
+    return set_codec(codec_cls.policy, surfaces)
+
+
+def drop_top_surface(corpus):
+    """The vocabulary without its last surface, which a body uses."""
+    top = corpus.codec.vocab_size - 1
+    assert any(top in doc.body_tokens for doc in corpus.documents)
+    return corpus.codec.surfaces()[:-1]
 
 
 def set_body(doc_index, tokens):
@@ -294,7 +310,7 @@ class TestBuild:
         with open(os.path.join(index_dir, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
         digest = hashlib.sha256(read_artifacts(index_dir)).hexdigest()
-        assert manifest == {"artifact_digest": digest, "format_version": 4}
+        assert manifest == {"artifact_digest": digest, "format_version": 5}
 
     def test_build_reports_counts(self, workspace, tmp_path, capsys):
         out = tmp_path / "again"
@@ -329,11 +345,11 @@ class TestBuild:
         [
             (
                 {"num_docs": 6, "body_len": 80, "seed": 12},
-                "597e455bf531d93d42fd4bd153776a4cd81bc15b0dba7022dbe294aef4afa1ed",
+                "4d3b668d328ba2443e437593248f9d45ae76630f47beda0b9e48563c0193e2e4",
             ),
             (
                 {"num_docs": 12, "body_len": 150, "pool_size": 6, "seed": 17},
-                "95ca5269da6fe911fd321e111dcfb6642431948fb76abf0105e9012bbd9380fe",
+                "1b82ad889e7ef23e2600b97615361c602a0048bc56ffbfd76f52152e3ed83c57",
             ),
         ],
         ids=["six-docs", "six-word-pools"],
@@ -751,6 +767,7 @@ class TestRecall:
             lambda m: {**m, "format_version": 1},
             lambda m: {**m, "format_version": 2},
             lambda m: {**m, "format_version": 3},
+            lambda m: {**m, "format_version": 4},
         ],
         ids=[
             "not-object",
@@ -760,6 +777,7 @@ class TestRecall:
             "format-version-1",
             "format-version-2",
             "format-version-3",
+            "format-version-4",
         ],
     )
     def test_malformed_manifest_is_a_data_error(self, workspace, tmp_path, edit):
@@ -936,6 +954,32 @@ class TestRecall:
         assert recall_code(index_dir, workspace) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            set_codec("word", lambda corpus: corpus.codec.surfaces()),
+            set_codec(
+                WordCodec.policy.replace("nfc", "nfkc"),
+                lambda corpus: corpus.codec.surfaces(),
+            ),
+            set_codec(WordCodec.policy, lambda corpus: []),
+            set_codec(WordCodec.policy, drop_top_surface),
+        ],
+        ids=[
+            "policy-is-a-bare-kind",
+            "unknown-policy",
+            "empty-vocabulary-field",
+            "vocabulary-one-surface-short",
+        ],
+    )
+    def test_codec_the_load_cannot_make_is_a_data_error(
+        self, workspace, tmp_path, capsys, edit
+    ):
+        index_dir = copy_artifacts(workspace, tmp_path)
+        rewrite_corpus(index_dir, workspace, edit)
+        assert recall_code(index_dir, workspace) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bytes_after_the_last_section_are_a_data_error(
         self, workspace, tmp_path, capsys
     ):
@@ -948,7 +992,7 @@ class TestRecall:
     def test_huge_length_prefix_is_a_data_error(self, workspace, tmp_path, capsys):
         index_dir = copy_artifacts(workspace, tmp_path)
         data = read_artifacts(index_dir)
-        # The corpus section's first field, the codec kind, after its header.
+        # The corpus section's first field, the codec policy, after its header.
         data[12:20] = (2**62).to_bytes(8, "little")
         write_artifacts(index_dir, data)
         assert recall_code(index_dir, workspace) == 2

@@ -174,6 +174,16 @@ class TestPieceCodec:
         assert codec.decode(tokens) == codec.normalize_text(text)
 
 
+@pytest.mark.parametrize("codec_cls", [WordCodec, PieceCodec], ids=["word", "piece"])
+@pytest.mark.parametrize(
+    "surface", ["a\nb", "\n", ""], ids=["inner-newline", "newline", "empty"]
+)
+def test_empty_or_multi_line_surface_rejected(codec_cls, surface):
+    # The vocabulary is stored newline-joined, so neither could round-trip.
+    with pytest.raises(IngestError, match="empty or multi-line"):
+        codec_cls([" a", surface, "b"])
+
+
 class TestIngest:
     def records(self):
         return [
@@ -360,6 +370,41 @@ class TestPersistence:
             d.title_tokens for d in corpus.documents
         ]
 
+    def test_multi_byte_surfaces_roundtrip(self):
+        body = "東京 𝔘𝔫𝔦 «ü» 😀"
+        corpus = ingest_corpus(
+            [
+                {"id": "d1", "title": "Größe café", "text": [body]},
+                {"id": "d2", "title": "naïve", "text": ["ℵ₀ — Ελλάδα"]},
+            ]
+        )
+        loaded = self.roundtrip(corpus)
+        assert loaded.codec.surfaces() == corpus.codec.surfaces()
+        tokens = loaded.document("d1").body_tokens
+        assert loaded.codec.decode(tokens) == word_normalized(body)
+
+    def test_pieces_with_spaces_roundtrip(self):
+        pieces = [" Größe", " ", "  ", "é ", " 東京", "\t", "x\r"]
+        codec = PieceCodec(pieces)
+        corpus = ingest_corpus(
+            [{"id": "d1", "title": "Größe", "text": ["東京 Größe"]}], codec=codec
+        )
+        loaded = self.roundtrip(corpus)
+        assert loaded.codec.surfaces() == pieces
+        assert loaded.document("d1").body_tokens == corpus.document("d1").body_tokens
+
+    def test_large_vocabulary_roundtrips(self):
+        surfaces = [f"w{i:06d}" for i in range(120_000)]
+        corpus = ingest_corpus(
+            [{"id": "d1", "title": "w000000", "text": ["w119999 w060000 w000001"]}],
+            codec=WordCodec(surfaces),
+        )
+        loaded = self.roundtrip(corpus)
+        assert loaded.codec.surfaces() == surfaces
+        body = loaded.document("d1").body_tokens
+        assert list(body) == [FIRST_ID + 119_999, FIRST_ID + 60_000, FIRST_ID + 1]
+        assert loaded.codec.decode(body) == "w119999 w060000 w000001"
+
     def test_save_is_deterministic(self):
         corpus = ingest_corpus(
             [{"id": "d1", "title": "Alpha", "text": ["one two three"]}]
@@ -374,5 +419,5 @@ class TestPersistence:
         save_corpus(helpers.synthetic_corpus(), buf)
         digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == (
-            "62dc54fe81632d6ee82a5d296adb975cb5a81791a33c60a60798bd8a619a8b10"
+            "83a6782fc7401d894141a1fae5950a0d4760d34ef64f336c6c9d0421c4cc1b7e"
         )

@@ -261,7 +261,7 @@ class TestPersistence:
         save_index(doc.doc_id, build_suffix_array(doc.body_tokens[::-1]), buf)
         digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == (
-            "7c2d363eaab32de672fddd2e5a571c101d8ebf22b0f78a5be648a52e6f222259"
+            "5b97c2f0c9095be0d886cfa1f54c1714113df89b4b00d997a77b5e38ffa47493"
         )
 
 

@@ -138,7 +138,7 @@ class TestPersistence:
         save_trie(build_trie(helpers.synthetic_corpus()), buf)
         digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == (
-            "1276ab606eee8da68c01e5256473282ec602784cfca05d5e1b96acbb6f55e45f"
+            "57aa1a95d082d97e5e4a22a28778ef57a04ccd20cc68f4af7ab2134bf4714611"
         )
 
     def test_very_long_title_roundtrips(self, tmp_path):
